@@ -64,6 +64,7 @@ type Combined struct {
 	stats  CombinedStats
 	shiftr predictor.HistoryShifter      // nil if dyn keeps no global history
 	ce     predictor.ConfidenceEstimator // nil if dyn cannot grade itself
+	col    predictor.Collider            // nil if dyn cannot track collisions
 
 	lastStatic bool
 	lastTaken  bool
@@ -80,6 +81,7 @@ func NewCombined(dyn predictor.Predictor, hints *HintDB, shift ShiftPolicy) *Com
 	if ce, ok := predictor.ConfidenceEstimatorOf(dyn); ok {
 		c.ce = ce
 	}
+	c.col, _ = dyn.(predictor.Collider)
 	return c
 }
 
@@ -181,21 +183,15 @@ func (b *combinedBatch) RunBlock(pcs []uint64, taken []bool, out *predictor.Bloc
 // EnableCollisionTracking implements predictor.Collider if the dynamic
 // component does; otherwise it is a no-op.
 func (c *Combined) EnableCollisionTracking() {
-	if col, ok := c.dyn.(predictor.Collider); ok {
-		col.EnableCollisionTracking()
+	if c.col != nil {
+		c.col.EnableCollisionTracking()
 	}
 }
 
 // LastCollision implements predictor.Collider. A statically predicted
 // branch cannot collide — it never indexes a table.
 func (c *Combined) LastCollision() bool {
-	if c.lastStatic {
-		return false
-	}
-	if col, ok := c.dyn.(predictor.Collider); ok {
-		return col.LastCollision()
-	}
-	return false
+	return !c.lastStatic && c.col != nil && c.col.LastCollision()
 }
 
 // ShiftHistory implements predictor.HistoryShifter when the dynamic

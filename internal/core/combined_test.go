@@ -204,3 +204,55 @@ func TestShiftPolicyString(t *testing.T) {
 		}
 	}
 }
+
+// TestCombinedBatchedPassthrough pins the hint-free wrapper onto its
+// dynamic component's native kernel — for the paper predictors and for
+// tage and the perceptron alike — and checks the passthrough end to end
+// for a self-grading component: per-event correctness and confidence
+// grades match the wrapper's own scalar Predict/LastConfidence/Update, and
+// the wrapper's split statistics count every branch as dynamic. A hinted
+// wrapper stays scalar.
+func TestCombinedBatchedPassthrough(t *testing.T) {
+	const n = 5000
+	pcs, taken := make([]uint64, n), make([]bool, n)
+	s := uint64(3)
+	for i := range pcs {
+		s = s*6364136223846793005 + 1442695040888963407
+		pcs[i] = 0x4000 + (s>>40%300)*4
+		taken[i] = s>>20%4 != 0
+	}
+	for _, spec := range []string{"gshare:4KB", "2bcgskew:4KB", "tage:4KB", "perceptron:4KB"} {
+		bare, _ := predictor.New(spec)
+		if _, native := predictor.Batch(bare); !native {
+			t.Errorf("%s: no native kernel", spec)
+		}
+		if _, native := predictor.Batch(NewCombined(bare, hintsWith(0x4000, true), NoShift)); native {
+			t.Errorf("%s: hinted wrapper reports a native kernel", spec)
+		}
+		d1, _ := predictor.New(spec)
+		d2, _ := predictor.New(spec)
+		ref, wrapped := NewCombined(d1, nil, NoShift), NewCombined(d2, nil, NoShift)
+		k, native := predictor.Batch(wrapped)
+		if !native {
+			t.Errorf("%s: hint-free wrapper left the native kernel", spec)
+			continue
+		}
+		ce, grades := predictor.ConfidenceEstimatorOf(ref)
+		out := predictor.BlockMetrics{Correct: make([]bool, n), Conf: make([]predictor.Confidence, n)}
+		k.RunBlock(pcs, taken, &out)
+		for i, pc := range pcs {
+			correct := ref.Predict(pc) == taken[i]
+			var want predictor.Confidence
+			if grades {
+				want = ce.LastConfidence()
+			}
+			ref.Update(pc, taken[i])
+			if out.Correct[i] != correct || out.Conf[i] != want {
+				t.Fatalf("%s event %d: kernel %v/%+v, scalar wrapper %v/%+v", spec, i, out.Correct[i], out.Conf[i], correct, want)
+			}
+		}
+		if got, want := wrapped.Stats(), ref.Stats(); got != want {
+			t.Errorf("%s: wrapper stats %+v after the block, scalar %+v", spec, got, want)
+		}
+	}
+}

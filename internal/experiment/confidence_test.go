@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"branchsim/internal/obs"
+	"branchsim/internal/sim"
 	"branchsim/internal/telemetry"
 )
 
@@ -92,9 +92,12 @@ func confidenceLines(raw []byte, predictor string) []string {
 // the two record types this layer adds: an arm's tagged_table_stats and
 // confidence streams are byte-identical across repeated runs, across replay
 // worker counts (workers=1 sequential vs workers=8 concurrent), and across
-// the batched kernel being on or off. Both predictors fall back to the
-// scalar path when these samplers are live, so any byte difference means a
-// sampler observed scheduling rather than the branch stream.
+// the batched kernel being on or off. With the kernel on, both predictors
+// run whole blocks through their native kernels — cut at each interval
+// seal, grading every prediction into the kernel's per-event confidence
+// output — and with it off they take the per-event scalar loop, so any
+// byte difference means a sampler observed scheduling or block boundaries
+// rather than the branch stream.
 func TestConfidenceGoldenByteStable(t *testing.T) {
 	recs1, raw1 := confidenceSweep(t, 1, false)
 	_, raw2 := confidenceSweep(t, 1, false)
@@ -166,43 +169,47 @@ func TestConfidenceGoldenByteStable(t *testing.T) {
 }
 
 // TestConfidenceOverheadGuard asserts the zero-cost-when-off contract for
-// the confidence and tagged-table samplers at sweep granularity, mirroring
-// the tracing guard: a sweep through a harness whose telemetry config is
-// zero (nil collector — the state every telemetry-free caller gets) must
-// not be measurably slower than one with no telemetry option at all. The
-// per-branch cost of the disabled samplers is a nil check, and the batched
-// fast path must stay engaged when ConfidenceSampling reports false.
+// the confidence and tagged-table samplers, deterministically: a zero
+// telemetry config builds no collector, so a harness arm over a
+// self-grading predictor journals no telemetry and scores exactly what a
+// telemetry-free harness does, and its runner stays on the native kernel
+// and allocates nothing per decoded block. That no disabled sampler does
+// per-event work is counted, not timed, by the sim package's
+// TestDisabledPathsDoNoPerEventWork. The wall-clock ratio (bound 1.05x) is
+// perfbench's telemetry.off_ratio, measured there in interleaved rounds
+// where a shared machine's noise cannot fail this suite.
 func TestConfidenceOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short")
+	if telemetry.New(telemetry.Config{}, obs.New()) != nil {
+		t.Fatal("zero telemetry config built a collector")
 	}
-	arm := Arm{Workload: "compress", Input: "test", Pred: "gshare:1KB", Scheme: "none"}
-	drive := func(opts ...HarnessOption) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// A fresh harness per iteration: memoization would
-				// otherwise collapse every later run to a cache hit.
-				h := NewQuickHarness(append([]HarnessOption{WithWorkers(2)}, opts...)...)
-				if _, err := h.Run(context.Background(), arm); err != nil {
-					b.Fatal(err)
-				}
-				h.Close()
-			}
+	arm := Arm{Workload: "compress", Input: "test", Pred: "tage:1KB", Scheme: "none"}
+	run := func(opts ...HarnessOption) (sim.Metrics, []byte) {
+		var buf bytes.Buffer
+		o := obs.New(obs.WithJournal(obs.NewJournal(&buf)))
+		h := NewQuickHarness(append([]HarnessOption{WithObserver(o), WithWorkers(2)}, opts...)...)
+		m, err := h.Run(context.Background(), arm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Close()
+		if err := o.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return m, buf.Bytes()
+	}
+	bare, _ := run()
+	zero, journal := run(WithTelemetry(telemetry.Config{}))
+	if d := bare.Diff(zero); d != "" {
+		t.Errorf("zero-telemetry arm differs from the telemetry-free arm: %s", d)
+	}
+	for _, typ := range []string{"interval", "table_stats", "tagged_table_stats", "confidence", "topk"} {
+		if bytes.Contains(journal, []byte(`"type":"`+typ+`"`)) {
+			t.Errorf("zero-telemetry journal holds %s records", typ)
 		}
 	}
-	bareFn := drive()
-	disabledFn := drive(WithTelemetry(telemetry.Config{}))
-	bare, disabled := math.MaxFloat64, math.MaxFloat64
-	for round := 0; round < 3; round++ {
-		if v := float64(testing.Benchmark(bareFn).NsPerOp()); v < bare {
-			bare = v
+	for _, spec := range []string{"tage:1KB", "perceptron:1KB"} {
+		if allocs := allocsPerBlock(t, spec, sim.WithTelemetry(telemetry.New(telemetry.Config{}, nil))); allocs != 0 {
+			t.Errorf("%s with zero telemetry: %.1f allocations per block, want 0", spec, allocs)
 		}
-		if v := float64(testing.Benchmark(disabledFn).NsPerOp()); v < disabled {
-			disabled = v
-		}
-	}
-	if ratio := disabled / bare; ratio > 1.05 {
-		t.Errorf("zero-telemetry sweep is %.3fx the telemetry-free sweep (%.2fms vs %.2fms per arm); want <= 1.05x",
-			ratio, disabled/1e6, bare/1e6)
 	}
 }

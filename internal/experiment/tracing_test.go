@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -12,6 +11,8 @@ import (
 	"time"
 
 	"branchsim/internal/obs"
+	"branchsim/internal/predictor"
+	"branchsim/internal/sim"
 )
 
 // armShape reduces a journal's arm records to their deterministic identity —
@@ -122,51 +123,81 @@ func TestJournalByteStableWithTracing(t *testing.T) {
 	}
 }
 
-// TestTracingOverheadGuard asserts the zero-cost-when-off contract at sweep
-// granularity: a replay sweep through a harness whose observer has tracing
-// disabled (the default) must not be measurably slower than the same sweep
-// with no observer at all. Every tracing call site on the arm path — span
-// starts, phase mirrors, key notes, the latency histograms — degrades to a
-// nil check or a single atomic add when tracing is off, so the bound is
-// tight; interleaved best-of-3 rounds absorb shared-CI timing noise the
-// same way the sim-layer telemetry guard does.
+// TestTracingOverheadGuard asserts the zero-cost-when-off contract for
+// tracing, deterministically: an arm swept through a harness whose
+// observer has tracing disabled (the default) publishes no span frame and
+// scores exactly what an observer-free run does, and the arm's runner,
+// publishing to that observer, allocates nothing per decoded block — the
+// per-event path holds no tracing call site at all. The wall-clock ratio
+// (bound 1.05x) is perfbench's obs.off_ratio, measured there in interleaved
+// rounds where a shared machine's noise cannot fail this suite.
 func TestTracingOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short")
-	}
 	arm := Arm{Workload: "compress", Input: "test", Pred: "gshare:1KB", Scheme: "none"}
-	drive := func(newObs func() *obs.Observer) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// A fresh harness per iteration: memoization would
-				// otherwise collapse every later run to a cache hit.
-				o := newObs()
-				h := NewQuickHarness(WithObserver(o), WithWorkers(2))
-				if _, err := h.Run(context.Background(), arm); err != nil {
-					b.Fatal(err)
-				}
-				h.Close()
-				if o != nil {
-					if err := o.Close(); err != nil {
-						b.Fatal(err)
-					}
-				}
+	run := func(o *obs.Observer) sim.Metrics {
+		h := NewQuickHarness(WithObserver(o), WithWorkers(2))
+		defer h.Close()
+		m, err := h.Run(context.Background(), arm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	bare := run(nil)
+
+	o := obs.New()
+	if o.TracingEnabled() {
+		t.Fatal("tracing is on by default")
+	}
+	var spans, frames atomic.Uint64
+	sub := o.Subscribe(1024)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for line := range sub.C() {
+			frames.Add(1)
+			if bytes.Contains(line, []byte(`"type":"span"`)) {
+				spans.Add(1)
 			}
 		}
+	}()
+	observed := run(o)
+	sub.Close()
+	<-done
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
 	}
-	bareFn := drive(func() *obs.Observer { return nil })
-	disabledFn := drive(func() *obs.Observer { return obs.New() })
-	bare, disabled := math.MaxFloat64, math.MaxFloat64
-	for round := 0; round < 3; round++ {
-		if v := float64(testing.Benchmark(bareFn).NsPerOp()); v < bare {
-			bare = v
-		}
-		if v := float64(testing.Benchmark(disabledFn).NsPerOp()); v < disabled {
-			disabled = v
-		}
+	if n := spans.Load(); n != 0 {
+		t.Errorf("tracing-off sweep published %d span frames (of %d frames)", n, frames.Load())
 	}
-	if ratio := disabled / bare; ratio > 1.05 {
-		t.Errorf("disabled-tracing sweep is %.3fx the observer-free sweep (%.2fms vs %.2fms per arm); want <= 1.05x",
-			ratio, disabled/1e6, bare/1e6)
+	if d := bare.Diff(observed); d != "" {
+		t.Errorf("observed arm differs from the observer-free arm: %s", d)
 	}
+	if allocs := allocsPerBlock(t, "gshare:1KB", sim.WithObserver(obs.New())); allocs != 0 {
+		t.Errorf("runner publishing to a tracing-off observer: %.1f allocations per block, want 0", allocs)
+	}
+}
+
+// allocsPerBlock feeds a fixed 4096-event block to a runner around spec,
+// built with opts plus collision tracking, and reports the allocations per
+// block.
+func allocsPerBlock(t *testing.T, spec string, opts ...sim.Option) float64 {
+	t.Helper()
+	p, err := predictor.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sim.NewRunner(p, append([]sim.Option{sim.WithCollisions()}, opts...)...)
+	if !r.BatchKernel() {
+		t.Fatalf("%s: runner has no batch kernel", spec)
+	}
+	const n = 4096
+	pcs, taken, ops := make([]uint64, n), make([]bool, n), make([]uint64, n)
+	var opsSum uint64
+	for i := range pcs {
+		pcs[i] = 0x1_0000 + uint64(i*i%509)*4
+		taken[i] = i%3 != 0
+		ops[i] = uint64(i % 5)
+		opsSum += ops[i]
+	}
+	return testing.AllocsPerRun(20, func() { r.RunBlockSummed(pcs, taken, ops, opsSum) })
 }

@@ -13,8 +13,10 @@ package predictor
 // Equivalence obligation: for any event stream, cut into blocks at any
 // offsets, a kernel must leave the predictor in exactly the state the
 // scalar Predict/Update sequence would — counters, tags, switch counts,
-// history register, LastCollision — and must score exactly the same
-// per-event correctness and collision flags. The differential tests in
+// history register, stream counters, LastCollision, LastConfidence — and
+// must score exactly the same per-event correctness, collision flags and
+// confidence grades. The tage and perceptron kernels live next to their
+// scalar code (tage.go, perceptron.go). The differential tests in
 // batch_test.go and internal/sim enforce this bit-for-bit.
 
 // BlockMetrics accumulates the outcome of one RunBlock call. The counters
@@ -38,30 +40,12 @@ type BlockMetrics struct {
 	// block. Nil (the default) skips the per-event writes.
 	Correct  []bool
 	Collided []bool
-}
-
-// record scores one event.
-func (out *BlockMetrics) record(i int, taken, correct, collided bool) {
-	if taken {
-		out.TakenCount++
-	}
-	if !correct {
-		out.Mispredicts++
-	}
-	if collided {
-		out.Collisions++
-		if correct {
-			out.Constructive++
-		} else {
-			out.Destructive++
-		}
-	}
-	if out.Correct != nil {
-		out.Correct[i] = correct
-	}
-	if out.Collided != nil {
-		out.Collided[i] = collided
-	}
+	// Conf, when non-nil with at least len(pcs) slots, receives each
+	// event's confidence grade — what LastConfidence would report right
+	// after that event's Predict. Only kernels of predictors that grade
+	// themselves (ConfidenceEstimatorOf reports true) fill it; callers arm
+	// it only for those.
+	Conf []Confidence
 }
 
 // acc carries a block's scores in locals — registers, inside a kernel loop —
@@ -145,27 +129,41 @@ func Batch(p Predictor) (bs BatchSim, native bool) {
 	} else if k, ok := p.(BatchSim); ok {
 		return k, true
 	}
-	col, _ := p.(Collider)
-	return &scalarBlock{p: p, col: col}, false
+	return newScalarBlock(p), false
 }
 
 // scalarBlock is the generic fallback: the scalar protocol in block
-// clothing, for predictors without a kernel (tage, perceptron, local, …).
+// clothing, for predictors without a kernel (local, yags, combined
+// predictors with hints, …).
 type scalarBlock struct {
 	p   Predictor
-	col Collider // nil when p cannot track collisions
+	col Collider            // nil when p cannot track collisions
+	ce  ConfidenceEstimator // nil when p cannot grade itself
+}
+
+func newScalarBlock(p Predictor) *scalarBlock {
+	col, _ := p.(Collider)
+	ce, _ := ConfidenceEstimatorOf(p)
+	return &scalarBlock{p: p, col: col, ce: ce}
 }
 
 // RunBlock implements BatchSim.
 func (s *scalarBlock) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
 	taken = taken[:len(pcs)]
+	var a acc
+	a.init(out, len(pcs))
 	for i, pc := range pcs {
 		outcome := taken[i]
 		correct := s.p.Predict(pc) == outcome
 		collided := s.col != nil && s.col.LastCollision()
+		if out.Conf != nil && s.ce != nil {
+			out.Conf[i] = s.ce.LastConfidence()
+		}
 		s.p.Update(pc, outcome)
-		out.record(i, outcome, correct, collided)
+		a.tk += b2u(outcome)
+		a.score(i, correct, collided)
 	}
+	a.flush(out)
 }
 
 // histMask is the bit mask a ghr of length n applies after shifting.

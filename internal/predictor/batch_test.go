@@ -2,15 +2,20 @@ package predictor
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
-// kernelSpecs are the seven table predictors with native devirtualized
-// kernels.
+// kernelSpecs are the predictors with native devirtualized kernels: the
+// seven table predictors plus the tagged and neural successors.
 var kernelSpecs = []string{
 	"bimodal:1KB", "ghist:1KB", "gshare:1KB", "agree:1KB",
-	"bimode:1KB", "gskew:1KB", "2bcgskew:1KB",
+	"bimode:1KB", "gskew:1KB", "2bcgskew:1KB", "tage:1KB", "perceptron:1KB",
 }
+
+// scalarOnlySpecs are registered predictors that run on the generic scalar
+// wrapper.
+var scalarOnlySpecs = []string{"yags:1KB", "local:1KB", "mcfarling:1KB"}
 
 // testStream derives a deterministic (pc, taken) stream from a SplitMix64
 // walk. The PC distribution is deliberately skewed — a few hot branches, a
@@ -64,12 +69,11 @@ func newKernelPair(t *testing.T, spec string, track bool) (ref, kern BatchSim, p
 		p1.(Collider).EnableCollisionTracking()
 		p2.(Collider).EnableCollisionTracking()
 	}
-	col, _ := p1.(Collider)
 	k, native := Batch(p2)
 	if !native {
 		t.Fatalf("Batch(%q): no native kernel", spec)
 	}
-	return &scalarBlock{p: p1, col: col}, k, p1, p2
+	return newScalarBlock(p1), k, p1, p2
 }
 
 // blockTotals is the comparable accumulation of BlockMetrics counters.
@@ -80,12 +84,20 @@ type blockTotals struct {
 // runBlocks drives sim over the stream in blocks of size bs, collecting the
 // accumulated metrics and the per-event correctness/collision bits.
 func runBlocks(sim BatchSim, pcs []uint64, taken []bool, bs int) (blockTotals, []bool, []bool) {
+	total, correct, collided, _ := runBlocksConf(sim, pcs, taken, bs)
+	return total, correct, collided
+}
+
+// runBlocksConf is runBlocks with the per-event confidence output armed too
+// (left zero by predictors that do not grade themselves).
+func runBlocksConf(sim BatchSim, pcs []uint64, taken []bool, bs int) (blockTotals, []bool, []bool, []Confidence) {
 	correct := make([]bool, len(pcs))
 	collided := make([]bool, len(pcs))
+	conf := make([]Confidence, len(pcs))
 	var total blockTotals
 	for start := 0; start < len(pcs); start += bs {
 		end := min(start+bs, len(pcs))
-		out := BlockMetrics{Correct: correct[start:end], Collided: collided[start:end]}
+		out := BlockMetrics{Correct: correct[start:end], Collided: collided[start:end], Conf: conf[start:end]}
 		sim.RunBlock(pcs[start:end], taken[start:end], &out)
 		total.Mispredicts += out.Mispredicts
 		total.Collisions += out.Collisions
@@ -93,12 +105,13 @@ func runBlocks(sim BatchSim, pcs []uint64, taken []bool, bs int) (blockTotals, [
 		total.Destructive += out.Destructive
 		total.TakenCount += out.TakenCount
 	}
-	return total, correct, collided
+	return total, correct, collided, conf
 }
 
-// TestBatchNativeKernels pins which predictors devirtualize: all seven
-// table predictors must provide a native kernel, and the modern successors
-// must fall back to the scalar wrapper (native=false), never silently.
+// TestBatchNativeKernels pins which predictors devirtualize: the seven
+// table predictors and the tage and perceptron successors must provide a
+// native kernel, and the remaining schemes must fall back to the scalar
+// wrapper (native=false), never silently.
 func TestBatchNativeKernels(t *testing.T) {
 	for _, spec := range kernelSpecs {
 		p, err := New(spec)
@@ -109,7 +122,7 @@ func TestBatchNativeKernels(t *testing.T) {
 			t.Errorf("Batch(%q): want a native kernel, got the scalar fallback", spec)
 		}
 	}
-	for _, spec := range []string{"tage:1KB", "perceptron:1KB"} {
+	for _, spec := range scalarOnlySpecs {
 		p, err := New(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -134,8 +147,8 @@ func TestKernelMatchesScalar(t *testing.T) {
 				name := fmt.Sprintf("%s/track=%v/block=%d", spec, track, bs)
 				t.Run(name, func(t *testing.T) {
 					ref, kern, p1, p2 := newKernelPair(t, spec, track)
-					wm, wCorrect, wCollided := runBlocks(ref, pcs, taken, bs)
-					gm, gCorrect, gCollided := runBlocks(kern, pcs, taken, bs)
+					wm, wCorrect, wCollided, wConf := runBlocksConf(ref, pcs, taken, bs)
+					gm, gCorrect, gCollided, gConf := runBlocksConf(kern, pcs, taken, bs)
 					if gm != wm {
 						t.Fatalf("metrics diverge:\nkernel %+v\nscalar %+v", gm, wm)
 					}
@@ -152,6 +165,14 @@ func TestKernelMatchesScalar(t *testing.T) {
 						if gCorrect[i] != wCorrect[i] || gCollided[i] != wCollided[i] {
 							t.Fatalf("event %d: kernel correct/collided = %v/%v, scalar %v/%v",
 								i, gCorrect[i], gCollided[i], wCorrect[i], wCollided[i])
+						}
+						if gConf[i] != wConf[i] {
+							t.Fatalf("event %d: kernel confidence %+v, scalar LastConfidence %+v", i, gConf[i], wConf[i])
+						}
+					}
+					if ce1, ok := p1.(ConfidenceEstimator); ok {
+						if c1, c2 := ce1.LastConfidence(), p2.(ConfidenceEstimator).LastConfidence(); c1 != c2 {
+							t.Fatalf("post-block LastConfidence %+v, scalar %+v", c2, c1)
 						}
 					}
 					// State equality: a scalar probe pass over both
@@ -304,14 +325,15 @@ func TestKernelResetReuse(t *testing.T) {
 // native=false, with metrics matching a hand-driven scalar loop.
 func TestScalarFallbackDrivesPredictor(t *testing.T) {
 	pcs, taken := testStream(4_000, 11)
-	p1, err := New("tage:1KB")
+	spec := scalarOnlySpecs[0]
+	p1, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _ := New("tage:1KB")
+	p2, _ := New(spec)
 	kern, native := Batch(p2)
 	if native {
-		t.Fatal("tage grew a native kernel; update this test to cover a scalar-only predictor")
+		t.Fatalf("%s grew a native kernel; update this test to cover a scalar-only predictor", spec)
 	}
 	var wantMisp, wantTaken uint64
 	for i, pc := range pcs {
@@ -326,5 +348,113 @@ func TestScalarFallbackDrivesPredictor(t *testing.T) {
 	m, _, _ := runBlocks(kern, pcs, taken, 512)
 	if m.Mispredicts != wantMisp || m.TakenCount != wantTaken {
 		t.Fatalf("fallback metrics %+v, want mispredicts %d taken %d", m, wantMisp, wantTaken)
+	}
+}
+
+// TestKernelStreamCountersMatchScalar extends the differential to the state
+// only table introspection sees: with EnableTableStats on both sides, the
+// tage kernel must leave every bank's stream counters (tag hits and misses,
+// provider and alternate attribution, allocations and refusals) and the
+// perceptron kernel its margin histogram exactly where the scalar path
+// does, along with every table snapshot. Snapshots are compared after
+// every block, at every block size, so the counters flushed per block add
+// up to the per-event ones, and the useful-bit aging step must land on the
+// same event.
+func TestKernelStreamCountersMatchScalar(t *testing.T) {
+	pcs, taken := testStream(6_000, 5150)
+	for _, spec := range []string{"tage:1KB", "tage:8KB", "perceptron:1KB"} {
+		for _, bs := range []int{1, 7, 4096} {
+			t.Run(fmt.Sprintf("%s/block=%d", spec, bs), func(t *testing.T) {
+				p1, _ := New(spec)
+				p2, _ := New(spec)
+				p1.(Introspector).EnableTableStats()
+				p2.(Introspector).EnableTableStats()
+				if t1, ok := p1.(*TAGE); ok {
+					// Start near the useful-bit aging period so the
+					// stream crosses a global aging step.
+					t1.tick, p2.(*TAGE).tick = 1<<18-300, 1<<18-300
+				}
+				ref := newScalarBlock(p1)
+				kern, _ := Batch(p2)
+				var counted uint64
+				for lo := 0; lo < len(pcs); lo += bs {
+					hi := min(lo+bs, len(pcs))
+					var o1, o2 BlockMetrics
+					ref.RunBlock(pcs[lo:hi], taken[lo:hi], &o1)
+					kern.RunBlock(pcs[lo:hi], taken[lo:hi], &o2)
+					want := p1.(TaggedIntrospector).IntrospectTagged()
+					got := p2.(TaggedIntrospector).IntrospectTagged()
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("after event %d: tagged banks diverge:\nkernel %+v\nscalar %+v", hi, got, want)
+					}
+					if g, w := p2.(Introspector).Introspect(), p1.(Introspector).Introspect(); !reflect.DeepEqual(g, w) {
+						t.Fatalf("after event %d: table stats diverge:\nkernel %+v\nscalar %+v", hi, g, w)
+					}
+					counted = 0
+					for _, b := range got {
+						counted += b.Hits + b.Provider + uint64(len(b.Margin))
+					}
+				}
+				if counted == 0 {
+					t.Error("no stream counters accumulated; EnableTableStats did not arm them")
+				}
+				if t1, ok := p1.(*TAGE); ok && t1.tick >= 1<<18-300 {
+					t.Errorf("tick %d: the stream never crossed the aging step", t1.tick)
+				}
+			})
+		}
+	}
+}
+
+// TestTAGEFoldOracle checks the kernel's incremental folded histories
+// against foldHistory, the scalar path's from-scratch fold, after every
+// event: blocks of one event keep the folds flowing from block to block, and
+// static-hint history shifts, scalar Predict/Update steps and Reset move
+// the history behind the kernel's back in between.
+func TestTAGEFoldOracle(t *testing.T) {
+	pcs, taken := testStream(30_000, 2718)
+	rng := uint64(99)
+	for _, size := range []int{1 << 10, 8 << 10, 64 << 10} {
+		tg := NewTAGE(size)
+		kern, _ := Batch(tg)
+		var out BlockMetrics
+		incremental := 0
+		for i, pc := range pcs {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			switch rng >> 58 {
+			case 0:
+				tg.ShiftHistory(rng>>40&1 == 1)
+			case 1:
+				tg.Predict(pc)
+				tg.Update(pc, taken[i])
+				continue
+			case 2:
+				if rng>>20%64 == 0 {
+					tg.Reset()
+				}
+			}
+			if tg.fHist == tg.hist.bits {
+				incremental++
+			}
+			kern.RunBlock(pcs[i:i+1], taken[i:i+1], &out)
+			h := tg.hist.bits
+			if tg.fHist != h {
+				t.Fatalf("size %d event %d: folds cached for history %#x, register holds %#x", size, i, tg.fHist, h)
+			}
+			for j := range tg.comps {
+				c := &tg.comps[j]
+				want := [3]uint64{
+					foldHistory(h, c.histLen, log2(len(c.ctr))),
+					foldHistory(h, c.histLen, c.tagBits),
+					foldHistory(h, c.histLen, c.tagBits-1),
+				}
+				if got := [3]uint64{c.fIdx, c.fTag, c.fTag1}; got != want {
+					t.Fatalf("size %d event %d component t%d: folds %#x, foldHistory %#x", size, i, c.histLen, got, want)
+				}
+			}
+		}
+		if incremental < len(pcs)/2 {
+			t.Errorf("size %d: only %d of %d events advanced cached folds", size, incremental, len(pcs))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 )
@@ -51,31 +52,56 @@ type Introspector interface {
 	Introspect() []TableStats
 }
 
-// stats snapshots one table.
+// stats snapshots one table: counter states by bit-plane popcount, and
+// occupancy and the sharing histogram in branch-free passes, so a snapshot
+// costs a few operations per eight entries rather than a data-dependent
+// branch per entry.
 func (t *table) stats(name string) TableStats {
 	s := TableStats{Name: name, Entries: len(t.ctr)}
-	for _, c := range t.ctr {
-		s.Counters[c&ctrMax]++
-	}
-	for _, tag := range t.tags {
-		if tag != 0 {
-			s.Occupied++
-		}
-	}
+	countStates(t.ctr, &s.Counters)
+	s.Occupied = occupied(t.tags)
 	s.Entropy = counterEntropy(s.Counters)
 	if t.switches != nil {
-		hist := make([]uint64, 33)
-		maxBucket := 0
+		var hist [33]uint64
 		for _, sw := range t.switches {
-			b := bits.Len32(sw)
-			hist[b]++
-			if b > maxBucket {
-				maxBucket = b
-			}
+			hist[bits.Len32(sw)]++
 		}
-		s.SharingHist = hist[:maxBucket+1]
+		s.SharingHist = trimHist(hist[:])
 	}
 	return s
+}
+
+// countStates adds to counts[v] the number of bytes of b whose low two
+// bits hold v (higher bits are ignored). Eight bytes at a time: the two bit
+// planes of a little-endian word's eight counters come out with two masks,
+// and three popcounts of their conjunctions classify all eight.
+func countStates(b []uint8, counts *[4]uint64) {
+	const lsb = 0x0101010101010101
+	var n1, n2, n3 int
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		w := binary.LittleEndian.Uint64(b[i:])
+		lo, hi := w&lsb, w>>1&lsb
+		n1 += bits.OnesCount64(lo &^ hi)
+		n2 += bits.OnesCount64(hi &^ lo)
+		n3 += bits.OnesCount64(lo & hi)
+	}
+	counts[0] += uint64(i - n1 - n2 - n3)
+	counts[1] += uint64(n1)
+	counts[2] += uint64(n2)
+	counts[3] += uint64(n3)
+	for _, c := range b[i:] {
+		counts[c&3]++
+	}
+}
+
+// occupied counts the nonzero tags, branch-free.
+func occupied[T uint16 | uint64](tags []T) int {
+	var n uint64
+	for _, tag := range tags {
+		n += nz(uint64(tag))
+	}
+	return int(n)
 }
 
 // counterEntropy is the Shannon entropy, in bits, of a counter-state count
@@ -172,11 +198,7 @@ func (t *TAGE) Introspect() []TableStats {
 		for _, v := range c.ctr {
 			s.Counters[(int(v)+4)>>1]++
 		}
-		for _, tag := range c.tag {
-			if tag != 0 {
-				s.Occupied++
-			}
-		}
+		s.Occupied = occupied(c.tag)
 		s.Entropy = counterEntropy(s.Counters)
 		out = append(out, s)
 	}
@@ -191,15 +213,10 @@ func (t *TAGE) IntrospectTagged() []TaggedBankStats {
 		Entries:  t.base.entries(),
 		Provider: t.sBaseProv,
 	}
-	base.Ctr = make([]uint64, 4)
-	for _, c := range t.base.ctr {
-		base.Ctr[c&ctrMax]++
-	}
-	for _, tag := range t.base.tags {
-		if tag != 0 {
-			base.Occupied++
-		}
-	}
+	var baseCtr [4]uint64
+	countStates(t.base.ctr, &baseCtr)
+	base.Ctr = baseCtr[:]
+	base.Occupied = occupied(t.base.tags)
 	out = append(out, base)
 	for i := range t.comps {
 		c := &t.comps[i]
@@ -216,18 +233,13 @@ func (t *TAGE) IntrospectTagged() []TaggedBankStats {
 			AllocFails: c.sAllocFail,
 		}
 		b.Ctr = make([]uint64, 8)
-		b.Useful = make([]uint64, 4)
+		var useful [4]uint64
 		for _, v := range c.ctr {
 			b.Ctr[int(v)+4]++
 		}
-		for _, u := range c.useful {
-			b.Useful[u&3]++
-		}
-		for _, tag := range c.tag {
-			if tag != 0 {
-				b.Occupied++
-			}
-		}
+		countStates(c.useful, &useful)
+		b.Useful = useful[:]
+		b.Occupied = occupied(c.tag)
 		out = append(out, b)
 	}
 	return out
@@ -275,11 +287,7 @@ func (p *Perceptron) Introspect() []TableStats {
 			s.Counters[3]++
 		}
 	}
-	for _, tag := range p.dbgTags {
-		if tag != 0 {
-			s.Occupied++
-		}
-	}
+	s.Occupied = occupied(p.dbgTags)
 	s.Entropy = counterEntropy(s.Counters)
 	return []TableStats{s}
 }
@@ -306,10 +314,6 @@ func (p *Perceptron) IntrospectTagged() []TaggedBankStats {
 	}
 	b.Ctr = trimHist(hist)
 	b.Margin = trimHist(p.marginHist[:])
-	for _, tag := range p.dbgTags {
-		if tag != 0 {
-			b.Occupied++
-		}
-	}
+	b.Occupied = occupied(p.dbgTags)
 	return []TaggedBankStats{b}
 }

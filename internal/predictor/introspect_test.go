@@ -195,3 +195,26 @@ func TestResetClearsStats(t *testing.T) {
 		t.Errorf("counters after reset = %v, want all at init state", s.Counters)
 	}
 }
+
+// TestCountStatesMatchesPerEntry checks the bit-plane popcount against a
+// per-entry count, for lengths that leave every possible tail after the
+// eight-entry words, and bytes with high bits set (which the count
+// ignores).
+func TestCountStatesMatchesPerEntry(t *testing.T) {
+	s := uint64(7)
+	for n := 0; n < 40; n++ {
+		b := make([]uint8, n)
+		for i := range b {
+			s = s*6364136223846793005 + 1442695040888963407
+			b[i] = uint8(s >> 56)
+		}
+		var got, want [4]uint64
+		countStates(b, &got)
+		for _, v := range b {
+			want[v&3]++
+		}
+		if got != want {
+			t.Fatalf("n=%d: counts %v, per-entry %v", n, got, want)
+		}
+	}
+}

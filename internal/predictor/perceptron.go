@@ -102,15 +102,21 @@ func (p *Perceptron) Predict(pc uint64) bool {
 // Predict. Low is the classic margin condition |sum| ≤ θ — the same test
 // that forces training on a correct prediction.
 func (p *Perceptron) LastConfidence() Confidence {
-	m := p.lSum
+	return perceptronConfidence(p.lSum, p.theta)
+}
+
+// perceptronConfidence grades a prediction by its dot product sum against
+// the training threshold theta.
+func perceptronConfidence(sum, theta int32) Confidence {
+	m := sum
 	if m < 0 {
 		m = -m
 	}
-	score := float64(m) / float64(p.theta)
+	score := float64(m) / float64(theta)
 	if score > 1 {
 		score = 1
 	}
-	return Confidence{Score: score, Low: m <= p.theta}
+	return Confidence{Score: score, Low: m <= theta}
 }
 
 func satAdd8(w int16, up bool) int16 {
@@ -172,3 +178,96 @@ func (p *Perceptron) EnableCollisionTracking() {
 
 // LastCollision implements Collider.
 func (p *Perceptron) LastCollision() bool { return p.collision }
+
+// RunBlock implements BatchSim: Predict and Update fused per event, the
+// history register in a local. The dot product and the training step are
+// branch-free over the history bits: a weight enters the sum negated when
+// its bit is 0, and trains toward agreement with the outcome by a clamped
+// ±1. When out.Conf is armed every prediction is graded as LastConfidence
+// would; with EnableTableStats the margin histogram accumulates as in the
+// scalar path.
+func (p *Perceptron) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
+	if len(pcs) == 0 {
+		return
+	}
+	weights, mask, hl, theta := p.weights, p.mask, p.histLen, p.theta
+	h, hm := p.hist.bits, histMask(p.hist.len)
+	dbg := p.dbgTags
+	statsOn := p.statsOn
+	taken = taken[:len(pcs)]
+	var conf []Confidence
+	if out.Conf != nil {
+		conf = out.Conf[:len(pcs)]
+	}
+	var a acc
+	a.init(out, len(pcs))
+	var idx, col uint64
+	var sum int32
+	for i, pc := range pcs {
+		o := b2u(taken[i])
+		idx = (pcIndex(pc) ^ pcIndex(pc)>>9) & mask
+		if dbg != nil {
+			old := dbg[idx]
+			col = nz(old) & nz(old^(pc+1))
+			dbg[idx] = pc + 1
+		}
+		w := weights[idx][:hl+1]
+		// Four partial sums, four weights a step: the adds overlap
+		// instead of chaining through one accumulator.
+		var s0, s1, s2, s3 int32
+		hh := h
+		k := 1
+		for ; k+4 <= len(w); k += 4 {
+			q := w[k : k+4 : k+4]
+			n0, n1 := int32(hh&1)-1, int32(hh>>1&1)-1 // 0 for a 1 bit, -1 for a 0 bit
+			n2, n3 := int32(hh>>2&1)-1, int32(hh>>3&1)-1
+			s0 += int32(q[0]) ^ n0 - n0
+			s1 += int32(q[1]) ^ n1 - n1
+			s2 += int32(q[2]) ^ n2 - n2
+			s3 += int32(q[3]) ^ n3 - n3
+			hh >>= 4
+		}
+		for ; k < len(w); k++ {
+			neg := int32(hh&1) - 1
+			s0 += int32(w[k]) ^ neg - neg
+			hh >>= 1
+		}
+		sum = int32(w[0]) + s0 + s1 + s2 + s3
+		mag := sum
+		if mag < 0 {
+			mag = -mag
+		}
+		if statsOn {
+			p.marginHist[bits.Len32(uint32(mag))]++
+		}
+		if conf != nil {
+			conf[i] = perceptronConfidence(sum, theta)
+		}
+		bad := b2u(sum >= 0) ^ o
+		a.misp += bad
+		a.coll += col
+		a.constr += col & (bad ^ 1)
+		a.destr += col & bad
+		a.tk += o
+		if a.correct != nil {
+			a.correct[i] = bad == 0
+		}
+		if a.collided != nil {
+			a.collided[i] = col != 0
+		}
+		if bad != 0 || mag <= theta {
+			w[0] = min(max(w[0]+int16(2*o)-1, -128), 127)
+			hh := h
+			for k := 1; k < len(w); k++ {
+				agree := (hh ^ o ^ 1) & 1
+				w[k] = min(max(w[k]+int16(2*agree)-1, -128), 127)
+				hh >>= 1
+			}
+		}
+		h = (h<<1 | o) & hm
+	}
+	a.flush(out)
+	p.hist.bits = h
+	p.lIdx, p.lSum, p.lPred = idx, sum, sum >= 0
+	p.collision = col != 0
+}

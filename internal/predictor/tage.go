@@ -42,6 +42,12 @@ type TAGE struct {
 	// base provided.
 	statsOn   bool
 	sBaseProv uint64
+
+	// fHist is the history value the components' folds (tageComp.fIdx …)
+	// were computed from. The folds are a pure function of the history
+	// register, so RunBlock resumes from them while fHist still equals it
+	// and refolds once a scalar Update, ShiftHistory or Reset has moved it.
+	fHist uint64
 }
 
 type tageComp struct {
@@ -62,10 +68,19 @@ type tageComp struct {
 	sHit, sMiss        uint64
 	sProv, sAlt        uint64
 	sAlloc, sAllocFail uint64
+
+	// fIdx, fTag and fTag1 are the folds of TAGE.fHist that index and tag
+	// this component: foldHistory over (histLen, index width), (histLen,
+	// tagBits) and (histLen, tagBits-1). Only RunBlock reads and writes
+	// them; the scalar path refolds from the register on every lookup.
+	fIdx, fTag, fTag1 uint64
 }
 
+// tageNComp is the number of tagged components.
+const tageNComp = 5
+
 // tageHistLens are the geometric history lengths of the tagged components.
-var tageHistLens = []int{4, 8, 16, 32, 64}
+var tageHistLens = [tageNComp]int{4, 8, 16, 32, 64}
 
 // NewTAGE builds a TAGE within sizeBytes. The base bimodal gets a quarter of
 // the budget; the rest splits evenly across the tagged components (each
@@ -221,6 +236,19 @@ func (t *TAGE) Predict(pc uint64) bool {
 // must be captured here, not computed lazily).
 func (t *TAGE) confidence(baseCtr uint8) Confidence {
 	if t.lProvider < 0 {
+		return tageConfidence(baseCtr, false, false, 0, 0)
+	}
+	prov := &t.comps[t.lProvider]
+	idx := t.lIdx[t.lProvider]
+	return tageConfidence(baseCtr, true, t.lNewAlloc, prov.ctr[idx], prov.useful[idx])
+}
+
+// tageConfidence is the confidence model over the lookup state: the base
+// counter, whether a tagged component provided, whether the
+// use-alt-on-newly-allocated policy fired, and the provider entry's counter
+// and useful bits.
+func tageConfidence(baseCtr uint8, provided, newAlloc bool, ctr int8, useful uint8) Confidence {
+	if !provided {
 		// Base bimodal provided: only the 2-bit counter speaks. A saturated
 		// counter earns the strength a mid-range tagged provider would; the
 		// weak states are low-confidence by construction.
@@ -229,19 +257,16 @@ func (t *TAGE) confidence(baseCtr uint8) Confidence {
 		}
 		return Confidence{Score: 1.0 / 9.0, Low: true}
 	}
-	if t.lNewAlloc {
+	if newAlloc {
 		// Newly allocated entry: the alternate prediction was used and the
 		// provider has earned no trust yet.
 		return Confidence{Score: 0, Low: true}
 	}
-	prov := &t.comps[t.lProvider]
-	ctr := prov.ctr[t.lIdx[t.lProvider]]
 	s := int(ctr)
 	if s < 0 {
 		s = -s - 1 // 3-bit counter strength: 0 (weak) … 3 (saturated)
 	}
-	u := int(prov.useful[t.lIdx[t.lProvider]])
-	return Confidence{Score: float64(2*s+u) / 9.0, Low: s == 0}
+	return Confidence{Score: float64(2*s+int(useful)) / 9.0, Low: s == 0}
 }
 
 // LastConfidence implements ConfidenceEstimator.
@@ -375,3 +400,252 @@ func (t *TAGE) EnableCollisionTracking() {
 
 // LastCollision implements Collider.
 func (t *TAGE) LastCollision() bool { return t.collision }
+
+// foldStep advances a width-w fold of the last hl history bits across one
+// history shift (Seznec's circular-shift folding): rotate left by one within
+// the width, xor in the incoming outcome bit, and xor out the bit that
+// leaves the hl-bit window, which the rotation has carried to position
+// hl mod w. m is the width mask and p = hl mod w.
+func foldStep(f uint64, w uint, m uint64, p uint, in, leaving uint64) uint64 {
+	return (f<<1|f>>(w-1))&m ^ in ^ leaving<<p
+}
+
+// refold recomputes every component's folds from the history register.
+func (t *TAGE) refold() {
+	h := t.hist.bits
+	for i := range t.comps {
+		c := &t.comps[i]
+		c.fIdx = foldHistory(h, c.histLen, log2(len(c.ctr)))
+		c.fTag = foldHistory(h, c.histLen, c.tagBits)
+		c.fTag1 = foldHistory(h, c.histLen, c.tagBits-1)
+	}
+	t.fHist = h
+}
+
+// tageLane is one tagged component as RunBlock sees it: the bank slices and
+// index/tag geometry hoisted out of the struct, and the three folds the
+// kernel advances per event with foldStep.
+type tageLane struct {
+	ctr    []int8
+	tag    []uint16
+	useful []uint8
+	dbg    []uint64
+
+	w, leave             uint // index width; histLen-1, the window's top bit
+	wTag, wTag1          uint
+	pIdx, pTag, pTag1    uint // histLen mod each fold width
+	mIdx, mTag, mTag1    uint64
+	fIdx, fTag, fTag1    uint64
+	hit, miss, prov, alt uint64 // stream counters, flushed at block end
+	alloc, allocFail     uint64
+}
+
+func (c *tageComp) lane() tageLane {
+	w := uint(log2(len(c.ctr)))
+	tb := uint(c.tagBits)
+	hl := uint(c.histLen)
+	return tageLane{
+		ctr: c.ctr, tag: c.tag[:len(c.ctr)], useful: c.useful[:len(c.ctr)], dbg: c.dbgTags,
+		w: w, leave: hl - 1, wTag: tb, wTag1: tb - 1,
+		pIdx: hl % w, pTag: hl % tb, pTag1: hl % (tb - 1),
+		mIdx: histMask(int(w)), mTag: histMask(int(tb)), mTag1: histMask(int(tb - 1)),
+		fIdx: c.fIdx, fTag: c.fTag, fTag1: c.fTag1,
+	}
+}
+
+// RunBlock implements BatchSim: Predict and Update fused per event over
+// hoisted bank slices. Each component's index, tag and tag-1 folds of the
+// global history live in locals and advance by one foldStep per event,
+// where the scalar path refolds the 64-bit register fifteen times per
+// lookup; the folds persist across blocks with the history they fold.
+// When out.Conf is armed the kernel grades every prediction exactly as
+// LastConfidence would, and with EnableTableStats it keeps the same
+// per-bank stream counters as the scalar path.
+func (t *TAGE) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
+	if len(pcs) == 0 {
+		return
+	}
+	bctr := t.base.ctr
+	if len(bctr) == 0 {
+		return
+	}
+	btags, bsw := t.base.tags, t.base.switches
+	if btags != nil {
+		btags = btags[:len(bctr)]
+	}
+	if bsw != nil {
+		bsw = bsw[:len(bctr)]
+	}
+	if t.fHist != t.hist.bits {
+		t.refold()
+	}
+	var ln [tageNComp]tageLane
+	for j := range ln {
+		ln[j] = t.comps[j].lane()
+	}
+	h, hm := t.hist.bits, histMask(t.hist.len)
+	statsOn := t.statsOn
+	var baseProv uint64
+	tick := t.tick
+	taken = taken[:len(pcs)]
+	var conf []Confidence
+	if out.Conf != nil {
+		conf = out.Conf[:len(pcs)]
+	}
+	var a acc
+	a.init(out, len(pcs))
+
+	var idx [tageNComp]int
+	var tg [tageNComp]uint16
+	var col uint64
+	// The last event's lookup state, for LastConfidence after the block.
+	var lBase uint8
+	var lProvided, lNewAlloc bool
+	var lCtr int8
+	var lUseful uint8
+	for i, pc := range pcs {
+		outcome := taken[i]
+		o := b2u(outcome)
+		pa := pcIndex(pc)
+		bi := int(pa) & (len(bctr) - 1)
+		bc := bctr[bi]
+		col = tagReadU(btags, bsw, bi, pc)
+		basePred := bc >= ctrThreshold
+
+		// Lookup: the longest tag-matching component provides, the next
+		// longest match (else the base) is the alternate.
+		prov := -1
+		alt := basePred
+		for j := range ln {
+			l := &ln[j]
+			ix := int((pa^pa>>l.w^l.fIdx)&l.mIdx) & (len(l.ctr) - 1)
+			tag := uint16((pa ^ pa>>5 ^ l.fTag ^ l.fTag1<<1) & l.mTag)
+			idx[j], tg[j] = ix, tag
+			if l.dbg != nil {
+				old := l.dbg[ix]
+				col |= nz(old) & nz(old^(pc+1))
+				l.dbg[ix] = pc + 1
+			}
+			if l.tag[ix] == tag {
+				l.hit++
+				if prov >= 0 {
+					alt = ln[prov].ctr[idx[prov]] >= 0
+				}
+				prov = j
+			} else {
+				l.miss++
+			}
+		}
+		pred, provPred, newAlloc := basePred, basePred, false
+		var pctr int8
+		var pu uint8
+		if prov >= 0 {
+			l := &ln[prov]
+			pctr, pu = l.ctr[idx[prov]], l.useful[idx[prov]]
+			provPred = pctr >= 0
+			newAlloc = (pctr == 0 || pctr == -1) && pu == 0
+			pred = provPred
+			if newAlloc {
+				pred = alt
+			}
+			l.prov++
+			if newAlloc {
+				l.alt++
+			}
+		} else {
+			baseProv++
+		}
+		if conf != nil {
+			conf[i] = tageConfidence(bc, prov >= 0, newAlloc, pctr, pu)
+		}
+		correct := pred == outcome
+		a.tk += o
+		a.score(i, correct, col != 0)
+
+		// Update: train the provider (and its useful bits when it
+		// disagreed with the alternate), else the base.
+		if prov >= 0 {
+			l := &ln[prov]
+			ix := idx[prov]
+			if provPred != alt {
+				if provPred == outcome {
+					if pu < 3 {
+						l.useful[ix] = pu + 1
+					}
+				} else if pu > 0 {
+					l.useful[ix] = pu - 1
+				}
+			}
+			l.ctr[ix] = ctr3Update(pctr, outcome)
+			if newAlloc {
+				bctr[bi] = ctrStep(bc, o, 1)
+			}
+		} else {
+			bctr[bi] = ctrStep(bc, o, 1)
+		}
+		// Allocate a longer-history entry on a misprediction.
+		if !correct && prov < tageNComp-1 {
+			allocated := false
+			for j := prov + 1; j < tageNComp; j++ {
+				l := &ln[j]
+				ix := idx[j]
+				if l.useful[ix] == 0 {
+					l.tag[ix] = tg[j]
+					l.ctr[ix] = int8(o) - 1
+					l.alloc++
+					allocated = true
+					break
+				}
+				l.allocFail++
+			}
+			if !allocated {
+				for j := prov + 1; j < tageNComp; j++ {
+					if u := ln[j].useful; u[idx[j]] > 0 {
+						u[idx[j]]--
+					}
+				}
+			}
+			tick++
+			if tick >= 1<<18 {
+				tick = 0
+				for j := range ln {
+					u := ln[j].useful
+					for k := range u {
+						u[k] >>= 1
+					}
+				}
+			}
+		}
+
+		for j := range ln {
+			l := &ln[j]
+			leaving := h >> l.leave & 1
+			l.fIdx = foldStep(l.fIdx, l.w, l.mIdx, l.pIdx, o, leaving)
+			l.fTag = foldStep(l.fTag, l.wTag, l.mTag, l.pTag, o, leaving)
+			l.fTag1 = foldStep(l.fTag1, l.wTag1, l.mTag1, l.pTag1, o, leaving)
+		}
+		h = (h<<1 | o) & hm
+		lBase, lProvided, lNewAlloc, lCtr, lUseful = bc, prov >= 0, newAlloc, pctr, pu
+	}
+	a.flush(out)
+
+	for j := range ln {
+		l, c := &ln[j], &t.comps[j]
+		c.fIdx, c.fTag, c.fTag1 = l.fIdx, l.fTag, l.fTag1
+		if statsOn {
+			c.sHit += l.hit
+			c.sMiss += l.miss
+			c.sProv += l.prov
+			c.sAlt += l.alt
+			c.sAlloc += l.alloc
+			c.sAllocFail += l.allocFail
+		}
+	}
+	if statsOn {
+		t.sBaseProv += baseProv
+	}
+	t.hist.bits, t.fHist = h, h
+	t.tick = tick
+	t.collision = col != 0
+	t.lConf = tageConfidence(lBase, lProvided, lNewAlloc, lCtr, lUseful)
+}

@@ -11,12 +11,13 @@ import (
 	"branchsim/internal/trace"
 )
 
-// batchSpecs are the seven devirtualized table predictors plus one
-// scalar-fallback scheme, so the differential also covers the Runner's
-// generic block path.
+// batchSpecs are the nine devirtualized predictors — the seven table
+// predictors plus tage and the perceptron — and one scalar-fallback
+// scheme, so the differential also covers the Runner's generic block path.
 var batchSpecs = []string{
 	"bimodal:1KB", "ghist:1KB", "gshare:1KB", "agree:1KB",
 	"bimode:1KB", "gskew:1KB", "2bcgskew:1KB", "tage:1KB",
+	"perceptron:1KB", "yags:1KB",
 }
 
 // encodeStream builds one chunk from a deterministic pseudo-random event
@@ -81,7 +82,7 @@ func runPath(t *testing.T, spec string, track bool, db *profile.DB, feed func(*s
 }
 
 // TestBatchVsScalarStreams is the deterministic core of the differential:
-// for every predictor (the seven kernels plus a scalar-fallback scheme),
+// for every predictor (the nine kernels plus a scalar-fallback scheme),
 // with collision tracking on and off, and across block capacities that put
 // boundaries at awkward offsets, the batched replay must produce
 // bit-identical sim.Metrics — including the collision taxonomy — and a

@@ -129,13 +129,19 @@ type Runner struct {
 	// executions per branch feed the confidence-based static filter.
 	ce predictor.ConfidenceEstimator
 
-	// kern is the predictor's native batch kernel (nil when it has none);
-	// RunBlock routes whole decoded blocks through it instead of the
-	// per-event Predict/Update protocol. The scratch slices back the
-	// kernel's per-event outputs when telemetry or profiling needs them.
+	// kern runs RunBlock's blocks: the predictor's native kernel when it
+	// has one (native), else the generic wrapper looping Predict/Update.
+	// bm is the block's scratch output, kept here so feeding a block
+	// allocates nothing; the scratch slices back its per-event outputs
+	// when telemetry or profiling needs them, scratchConf only when a
+	// consumer grades predictions (grade).
 	kern            predictor.BatchSim
+	native          bool
+	grade           bool
+	bm              predictor.BlockMetrics
 	scratchCorrect  []bool
 	scratchCollided []bool
+	scratchConf     []predictor.Confidence
 }
 
 // cancelEvery is the branch cadence of the Runner's own context check, used
@@ -230,16 +236,15 @@ func NewRunner(p predictor.Predictor, opts ...Option) *Runner {
 			r.ce = ce
 		}
 	}
-	if k, native := predictor.Batch(p); native {
-		r.kern = k
-	}
+	r.kern, r.native = predictor.Batch(p)
+	r.grade = r.ce != nil || r.tel.ConfidenceSampling()
 	return r
 }
 
 // BatchKernel reports whether the runner's predictor has a native batch
-// kernel, i.e. whether RunBlock actually batches. Replay engines use it to
+// kernel, i.e. whether RunBlock runs devirtualized. Replay engines use it to
 // decide if a capturing arm is worth feeding through the block decoder.
-func (r *Runner) BatchKernel() bool { return r.kern != nil }
+func (r *Runner) BatchKernel() bool { return r.native }
 
 // Branch implements trace.Recorder: predict, score, classify, train.
 func (r *Runner) Branch(pc uint64, taken bool) {
@@ -288,16 +293,15 @@ func (r *Runner) Branch(pc uint64, taken bool) {
 }
 
 // RunBlock implements trace.BlockSink: the batched equivalent of calling
-// Ops(ops[i]) then Branch(pcs[i], taken[i]) per event. When the predictor
-// has a native kernel the whole block runs devirtualized and the metrics
-// are folded in wholesale; per-event consumers (profile, telemetry) are
-// then fed from the kernel's per-event outputs, in order. Three cases fall
-// back to the per-event loop, which is bit-identical by construction: a
-// predictor without a kernel; telemetry that samples predictor tables at
-// interval boundaries (the snapshot must observe exactly the events sealed
-// so far, so the predictor may not run ahead of the collector); and any
-// consumer of per-prediction confidence (LastConfidence reports only the
-// most recent Predict, so the kernel may not run ahead of the grader).
+// Ops(ops[i]) then Branch(pcs[i], taken[i]) per event. The whole block runs
+// through the predictor's kernel and the metrics fold in wholesale;
+// per-event consumers (profile, telemetry) are then fed from the kernel's
+// per-event outputs, in order: correctness, collision and, when a consumer
+// grades predictions, the confidence grade of each event. Telemetry that
+// samples predictor tables cuts the block where the collector seals
+// (Collector.Span), so a snapshot observes exactly the events before it —
+// including a seal that lands inside the straight-line run before a branch.
+// Every path is bit-identical to the per-event loop.
 func (r *Runner) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
 	var opsSum uint64
 	for _, o := range ops[:len(pcs)] {
@@ -311,29 +315,31 @@ func (r *Runner) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
 // decoded-block cache computes it once at capture), sparing the per-block
 // summing pass.
 func (r *Runner) RunBlockSummed(pcs []uint64, taken []bool, ops []uint64, opsSum uint64) {
-	if len(pcs) == 0 {
-		return
-	}
-	if r.kern == nil || r.tel.TableSampling() || r.tel.ConfidenceSampling() || r.ce != nil {
-		for i, pc := range pcs {
-			if ops[i] != 0 {
-				r.Ops(ops[i])
-			}
-			r.Branch(pc, taken[i])
-		}
-		return
-	}
 	n := len(pcs)
-	var bm predictor.BlockMetrics
+	if n == 0 {
+		return
+	}
+	bm := &r.bm
+	*bm = predictor.BlockMetrics{}
 	if r.tel != nil || r.prof != nil {
 		if cap(r.scratchCorrect) < n {
 			r.scratchCorrect = make([]bool, n)
 			r.scratchCollided = make([]bool, n)
+			if r.grade {
+				r.scratchConf = make([]predictor.Confidence, n)
+			}
 		}
 		bm.Correct = r.scratchCorrect[:n]
 		bm.Collided = r.scratchCollided[:n]
+		if r.grade {
+			bm.Conf = r.scratchConf[:n]
+		}
 	}
-	r.kern.RunBlock(pcs, taken, &bm)
+	if r.tel == nil {
+		r.kern.RunBlock(pcs, taken, bm)
+	} else {
+		r.runSpans(pcs, taken, ops)
+	}
 
 	r.metrics.Mispredicts += bm.Mispredicts
 	// The kernel reports raw tag collisions; they count only when this
@@ -355,14 +361,9 @@ func (r *Runner) RunBlockSummed(pcs []uint64, taken []bool, ops []uint64, opsSum
 			if tracked && !correct && bm.Collided[i] {
 				r.prof.RecordDestructiveCollision(pc)
 			}
-		}
-	}
-	if r.tel != nil {
-		for i, pc := range pcs {
-			if ops[i] != 0 {
-				r.tel.Ops(ops[i])
+			if r.ce != nil && bm.Conf[i].Low {
+				r.prof.RecordLowConfidence(pc)
 			}
-			r.tel.Branch(pc, taken[i], bm.Correct[i], tracked && bm.Collided[i])
 		}
 	}
 
@@ -381,6 +382,33 @@ func (r *Runner) RunBlockSummed(pcs []uint64, taken []bool, ops []uint64, opsSum
 			}
 		}
 	}
+}
+
+// runSpans runs a block through the kernel span by span, feeding the
+// collector each span as soon as the kernel has scored it. The leading
+// straight-line run is charged before anything runs, and every later run is
+// charged with the branch before it, so a span ends at the branch after
+// which the collector next seals: on the branch itself or within the run
+// that follows it. r.bm's per-event slices cover the whole block on entry
+// and exit; its counters accumulate across the spans.
+func (r *Runner) runSpans(pcs []uint64, taken []bool, ops []uint64) {
+	bm := &r.bm
+	n := len(pcs)
+	correct, collided, conf := bm.Correct, bm.Collided, bm.Conf
+	if ops[0] != 0 {
+		r.tel.Ops(ops[0])
+	}
+	for lo := 0; lo < n; {
+		hi := lo + r.tel.Span(n-lo, ops[lo+1:n])
+		bm.Correct, bm.Collided = correct[lo:hi], collided[lo:hi]
+		if conf != nil {
+			bm.Conf = conf[lo:hi]
+		}
+		r.kern.RunBlock(pcs[lo:hi], taken[lo:hi], bm)
+		r.tel.Block(pcs[lo:hi], taken[lo:hi], ops[lo+1:min(hi+1, n)], bm)
+		lo = hi
+	}
+	bm.Correct, bm.Collided, bm.Conf = correct, collided, conf
 }
 
 // flushObs publishes the event/mispredict deltas accumulated since the last

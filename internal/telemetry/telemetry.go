@@ -6,7 +6,8 @@
 // pressure — into journal records.
 //
 // A Collector is bound to exactly one simulation arm (one runner). It is
-// fed per-event by the sim loop, seals an interval record every
+// fed by the sim runner, per event (Branch, Ops) or a scored span of a
+// block at a time (Block, cut with Span), seals an interval record every
 // Config.Interval instructions, and buffers everything until Finish, when
 // the records flow out through the obs journal in one deterministic batch.
 // Records carry no wall-clock fields, so a given (workload, input,
@@ -82,14 +83,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// site is one static branch's running profile.
-type site struct {
-	execs   uint64
-	taken   uint64
-	misp    uint64
-	lowconf uint64
-}
-
 // Collector accumulates one arm's telemetry. Not safe for concurrent use —
 // it belongs to the single goroutine driving the runner, like the runner
 // itself. A nil *Collector is fully disabled; every method no-ops.
@@ -122,7 +115,7 @@ type Collector struct {
 	pScoreHist                 [8]uint64
 
 	// Per-branch tracking (TopK != 0).
-	sites        map[uint64]*site
+	sites        *siteTable
 	sitesDropped uint64
 	topDest      *spaceSaving
 	topMisp      *spaceSaving
@@ -150,7 +143,7 @@ func New(cfg Config, o *obs.Observer) *Collector {
 	}
 	c := &Collector{cfg: cfg, o: o, next: cfg.Interval}
 	if cfg.TopK != 0 {
-		c.sites = make(map[uint64]*site)
+		c.sites = newSiteTable(cfg.SiteCap)
 		c.topDest = newSpaceSaving(cfg.TopK)
 		c.topMisp = newSpaceSaving(cfg.TopK)
 	}
@@ -202,88 +195,129 @@ func (c *Collector) Bind(p predictor.Predictor, workload, input, pred string, tr
 
 // TableSampling reports whether the collector introspects predictor tables
 // at interval boundaries (TableStats configured and the bound predictor
-// supports it). Callers batching the event stream must fall back to
-// per-event feeding when this is true: a boundary seal snapshots the live
-// tables, so the predictor may not run ahead of the collector. Safe on nil.
+// supports it). A boundary seal then snapshots the live tables, so a caller
+// running the predictor ahead of the collector must stop at each seal: Span
+// says where. Safe on nil.
 func (c *Collector) TableSampling() bool { return c != nil && (c.in != nil || c.tin != nil) }
 
 // ConfidenceSampling reports whether the collector grades every prediction
-// (Confidence configured and the bound predictor estimates it). Callers
-// batching the event stream must fall back to per-event feeding when this is
-// true: Branch queries the predictor's last-prediction state, so the
-// predictor may not run ahead of the collector. Safe on nil.
+// (Confidence configured and the bound predictor estimates it). Branch then
+// queries the predictor's LastConfidence, and Block reads the per-event
+// grades from BlockMetrics.Conf, which the caller must arm. Safe on nil.
 func (c *Collector) ConfidenceSampling() bool { return c != nil && c.ce != nil }
 
 // Branch feeds one dynamic branch: its resolved direction, whether the
 // prediction was correct, and whether the lookup collided (false when the
-// arm does not track collisions). Safe on nil.
+// arm does not track collisions). When the collector grades predictions it
+// reads the grade from the bound predictor, so call it right after the
+// branch's Predict/Update. Safe on nil.
 func (c *Collector) Branch(pc uint64, taken, correct, collided bool) {
 	if c == nil {
 		return
 	}
+	var conf predictor.Confidence
+	if c.ce != nil {
+		conf = c.ce.LastConfidence()
+	}
+	c.branch(pc, taken, correct, collided, conf)
+}
+
+// Span returns how many of the next n branches a caller may run through the
+// predictor before feeding them, so that no seal falls inside the span: the
+// count up to and including the first branch after which the collector
+// seals, on the branch itself or within the straight-line run after[i] that
+// follows branch i. n when no seal falls in the block, and always n unless
+// the collector samples tables (the only seal work that reads predictor
+// state). Safe on nil.
+func (c *Collector) Span(n int, after []uint64) int {
+	if !c.TableSampling() {
+		return n
+	}
+	rem := c.next - c.instr // ≥ 1: every charge that reaches c.next seals
+	for i := 0; i < n; i++ {
+		if rem--; rem == 0 {
+			return i + 1
+		}
+		if i < len(after) {
+			if after[i] >= rem {
+				return i + 1
+			}
+			rem -= after[i]
+		}
+	}
+	return n
+}
+
+// Block feeds a run of branches the predictor has already scored:
+// pcs[i]/taken[i] with out.Correct[i], out.Collided[i] (raw, gated here by
+// the arm's collision tracking) and, when ConfidenceSampling, out.Conf[i];
+// after[i], for i < len(after), is the straight-line run charged after
+// branch i. Records are identical to calling Branch and Ops per event. When
+// the collector samples tables, the caller must cut blocks with Span. Safe
+// on nil.
+func (c *Collector) Block(pcs []uint64, taken []bool, after []uint64, out *predictor.BlockMetrics) {
+	if c == nil {
+		return
+	}
+	n := len(pcs)
+	taken, correct, collided := taken[:n], out.Correct[:n], out.Collided[:n]
+	var conf []predictor.Confidence
+	if c.ce != nil {
+		conf = out.Conf[:n]
+	}
+	for i, pc := range pcs {
+		var cf predictor.Confidence
+		if conf != nil {
+			cf = conf[i]
+		}
+		c.branch(pc, taken[i], correct[i], c.tracked && collided[i], cf)
+		if i < len(after) && after[i] != 0 {
+			c.Ops(after[i])
+		}
+	}
+}
+
+// branch is Branch with the prediction's confidence grade supplied. The
+// stream counters advance by 0/1 arithmetic rather than control flow: the
+// flags are the simulated branch's own outcomes, which the host CPU
+// mispredicts.
+func (c *Collector) branch(pc uint64, taken, correct, collided bool, conf predictor.Confidence) {
+	tk, bad, col := b2u(taken), b2u(!correct), b2u(collided)
 	c.instr++
 	c.branches++
-	if taken {
-		c.taken++
-	}
-	destructive := false
-	if !correct {
-		c.misp++
-	}
-	if collided {
-		c.col++
-		if correct {
-			c.cons++
-		} else {
-			c.dest++
-			destructive = true
-		}
-	}
+	c.taken += tk
+	c.misp += bad
+	c.col += col
+	c.cons += col &^ bad
+	c.dest += col & bad
 	low := false
 	if c.ce != nil {
-		conf := c.ce.LastConfidence()
 		low = conf.Low
-		if low {
-			c.confLow++
-			if !correct {
-				c.confLowMisp++
-			}
-		} else if !correct {
-			c.confHighMisp++
-		}
-		b := int(conf.Score * 8)
-		if b > 7 {
-			b = 7
-		} else if b < 0 {
-			b = 0
-		}
-		c.scoreHist[b]++
+		lo := b2u(low)
+		c.confLow += lo
+		c.confLowMisp += lo & bad
+		c.confHighMisp += bad &^ lo
+		c.scoreHist[min(max(int(conf.Score*8), 0), 7)]++
 	}
 	if c.sites != nil {
-		s := c.sites[pc]
-		if s == nil {
-			if len(c.sites) >= c.cfg.SiteCap {
-				c.sitesDropped++
-			} else {
-				s = &site{}
-				c.sites[pc] = s
-			}
-		}
+		s := c.sites.claim(pc)
 		if s != nil {
 			s.execs++
-			if taken {
-				s.taken++
-			}
-			if !correct {
-				s.misp++
+			s.taken += tk
+			s.misp += bad
+			s.lowconf += b2u(low)
+		} else {
+			c.sitesDropped++
+		}
+		if !correct {
+			// Only tracked sites enter the misprediction list; destructive
+			// collisions count for every site.
+			if s != nil {
 				c.topMisp.Add(pc)
 			}
-			if low {
-				s.lowconf++
+			if collided {
+				c.topDest.Add(pc)
 			}
-		}
-		if destructive {
-			c.topDest.Add(pc)
 		}
 		if low && c.topLow != nil {
 			c.topLow.Add(pc)
@@ -292,6 +326,14 @@ func (c *Collector) Branch(pc uint64, taken, correct, collided bool) {
 	if c.instr >= c.next {
 		c.seal()
 	}
+}
+
+// b2u converts a bool to 0/1 (lowered branch-free).
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Ops charges n straight-line instructions. A run that crosses one or more
@@ -483,13 +525,14 @@ func (c *Collector) buildTopK() {
 	rec := obs.TopKRecord{
 		Workload: c.workload, Input: c.input, Predictor: c.pred,
 		K:            c.cfg.TopK,
-		Sites:        len(c.sites),
+		Sites:        c.sites.n,
 		SitesDropped: c.sitesDropped,
 	}
 	biasHist := make([]uint64, maxHistBucket+1)
 	mispHist := make([]uint64, maxHistBucket+1)
 	maxBias, maxMisp := 0, 0
-	for _, s := range c.sites {
+	for i := range c.sites.slots {
+		s := &c.sites.slots[i]
 		if s.execs == 0 {
 			continue
 		}
@@ -508,7 +551,7 @@ func (c *Collector) buildTopK() {
 			maxMisp = m
 		}
 	}
-	if len(c.sites) > 0 {
+	if c.sites.n > 0 {
 		rec.BiasHist = biasHist[:maxBias+1]
 		rec.MispHist = mispHist[:maxMisp+1]
 	}
@@ -522,7 +565,7 @@ func (c *Collector) buildTopK() {
 	liveTop := rec
 	c.o.Publish(&liveTop)
 	c.o.Counter(obs.MTelemetryTopK).Add(1)
-	c.o.Gauge(obs.MTelemetrySites).Set(int64(len(c.sites)))
+	c.o.Gauge(obs.MTelemetrySites).Set(int64(c.sites.n))
 	c.o.Counter(obs.MTelemetrySitesDropped).Add(c.sitesDropped)
 }
 
@@ -537,7 +580,7 @@ func (c *Collector) branchCounts(s *spaceSaving, withLowRate bool) []obs.BranchC
 	out := make([]obs.BranchCount, 0, len(top))
 	for _, t := range top {
 		bc := obs.BranchCount{PC: t.PC, Count: t.Count, MaxError: t.MaxError}
-		if st := c.sites[t.PC]; st != nil && st.execs > 0 {
+		if st := c.sites.find(t.PC); st != nil && st.execs > 0 {
 			bc.Execs = st.execs
 			bias := float64(st.taken) / float64(st.execs)
 			if bias < 0.5 {

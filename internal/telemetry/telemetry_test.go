@@ -300,3 +300,30 @@ func TestEmptyRunStillSealsOneInterval(t *testing.T) {
 		t.Errorf("empty run interval deltas = %+v", recs.Intervals[0])
 	}
 }
+
+// TestDroppedSitesStayOffMispredictedList pins the SiteCap semantics of the
+// site table: once the cap is reached, a new branch is counted as dropped,
+// never enters the top-mispredicted list (its profile is not tracked), and
+// still enters the top-destructive list, which needs no profile.
+func TestDroppedSitesStayOffMispredictedList(t *testing.T) {
+	c := New(Config{Interval: 10_000, TopK: 4, SiteCap: 2}, nil)
+	c.Bind(predictor.NewBimodal(64), "w", "i", "p", true)
+	for i := 0; i < 300; i++ {
+		c.Branch(0x1000+uint64(i%2)*4, true, true, false) // the two tracked sites
+	}
+	for i := 0; i < 50; i++ {
+		c.Branch(0x9000, true, false, true) // beyond the cap: mispredicts, collides
+	}
+	rec := c.Finish().TopK
+	if rec.Sites != 2 || rec.SitesDropped != 50 {
+		t.Fatalf("sites = %d, dropped = %d; want 2, 50", rec.Sites, rec.SitesDropped)
+	}
+	for _, b := range rec.TopMispredicted {
+		if b.PC == 0x9000 {
+			t.Errorf("dropped site on the top-mispredicted list: %+v", b)
+		}
+	}
+	if len(rec.TopDestructive) != 1 || rec.TopDestructive[0].PC != 0x9000 || rec.TopDestructive[0].Execs != 0 {
+		t.Errorf("top destructive = %+v, want the dropped site alone, without a profile", rec.TopDestructive)
+	}
+}
