@@ -150,15 +150,11 @@ func (c *Combined) Reset() {
 	c.lastStatic = false
 }
 
-// Batched implements predictor.BatchProvider. A transparent wrapper — no
-// hints, so every branch flows to the dynamic component — delegates whole
-// blocks to the dynamic predictor's kernel, keeping the baseline arms of a
-// sweep on the fast path. With hints installed the static lookup must run
-// per branch, so the wrapper stays scalar.
+// Batched implements predictor.BatchProvider: whenever the dynamic
+// component has a native kernel, the wrapper runs whole blocks through
+// combinedBatch, with or without hints installed. Only a dynamic component
+// without a kernel keeps the wrapper on the scalar path.
 func (c *Combined) Batched() (predictor.BatchSim, bool) {
-	if c.hints != nil && c.hints.Len() > 0 {
-		return nil, false
-	}
 	k, native := predictor.Batch(c.dyn)
 	if !native {
 		return nil, false
@@ -166,18 +162,171 @@ func (c *Combined) Batched() (predictor.BatchSim, bool) {
 	return &combinedBatch{c: c, k: k}, true
 }
 
-// combinedBatch forwards blocks to the dynamic component's kernel while
-// keeping the wrapper's static/dynamic split statistics exact: with no
-// hints, the scalar path counts every branch as a dynamic execution.
+// combinedBatch is the wrapper's block kernel. Hinted events are scored in
+// place against their static direction; the others are gathered, in
+// program order, into a sub-block for the dynamic component's kernel, and
+// their per-event outputs scattered back. This is exact because the scalar
+// path never calls the dynamic Predict/Update for a hinted branch and
+// kernels are split-invariant: the dynamic component sees the same stream.
+// Under ShiftOutcome/ShiftStatic the pending sub-block is flushed before
+// each hinted branch's history shift, so the shift lands where the scalar
+// path puts it.
 type combinedBatch struct {
 	c *Combined
 	k predictor.BatchSim
+
+	// Gather scratch, grown to the largest block seen: the dynamic events'
+	// PCs and outcomes, their positions in the block (idx, only when a
+	// per-event output is armed) and the sub-block's per-event outputs.
+	pcs      []uint64
+	taken    []bool
+	idx      []int32
+	correct  []bool
+	collided []bool
+	conf     []predictor.Confidence
 }
 
 // RunBlock implements predictor.BatchSim.
 func (b *combinedBatch) RunBlock(pcs []uint64, taken []bool, out *predictor.BlockMetrics) {
-	b.c.stats.DynamicExecs += uint64(len(pcs))
-	b.k.RunBlock(pcs, taken, out)
+	c := b.c
+	n := len(pcs)
+	if n == 0 {
+		return
+	}
+	if c.hints.Len() == 0 {
+		c.stats.DynamicExecs += uint64(n)
+		b.k.RunBlock(pcs, taken, out)
+		c.lastStatic = false
+		return
+	}
+	taken = taken[:n]
+	armed := out.Correct != nil || out.Collided != nil || out.Conf != nil
+	b.grow(n, armed)
+	dp, dt := b.pcs[:n], b.taken[:n]
+	var idx []int32
+	if armed {
+		idx = b.idx[:n]
+	}
+	var sub predictor.BlockMetrics
+	shift := c.shiftr != nil && c.shift != NoShift
+	hints := &c.hints.hints
+	var m, flushed int // gathered dynamic events; of those, already run
+	var static, staticMisp, staticTaken uint64
+	lastStatic, lastTaken := false, false
+	for i, pc := range pcs {
+		o := taken[i]
+		h := hints.Get(pc)
+		if h == nil {
+			dp[m], dt[m] = pc, o
+			if idx != nil {
+				idx[m] = int32(i)
+			}
+			m++
+			lastStatic = false
+			continue
+		}
+		t := *h
+		static++
+		staticMisp += b2u(t != o)
+		staticTaken += b2u(o)
+		if out.Correct != nil {
+			out.Correct[i] = t == o
+		}
+		if out.Collided != nil {
+			out.Collided[i] = false
+		}
+		if out.Conf != nil && c.ce != nil {
+			out.Conf[i] = predictor.Confidence{Score: 1}
+		}
+		lastStatic, lastTaken = true, t
+		if shift {
+			b.run(flushed, m, &sub, out)
+			flushed = m
+			if c.shift == ShiftOutcome {
+				c.shiftr.ShiftHistory(o)
+			} else {
+				c.shiftr.ShiftHistory(t)
+			}
+		}
+	}
+	b.run(flushed, m, &sub, out)
+	if idx != nil {
+		b.scatter(idx[:m], out)
+	}
+
+	c.stats.StaticExecs += static
+	c.stats.StaticMispred += staticMisp
+	c.stats.DynamicExecs += uint64(m)
+	c.lastStatic, c.lastTaken = lastStatic, lastTaken
+	out.Mispredicts += sub.Mispredicts + staticMisp
+	out.Collisions += sub.Collisions
+	out.Constructive += sub.Constructive
+	out.Destructive += sub.Destructive
+	out.TakenCount += sub.TakenCount + staticTaken
+}
+
+// grow sizes the gather scratch for an n-event block, arming the per-event
+// outputs only when the caller armed them.
+func (b *combinedBatch) grow(n int, armed bool) {
+	if cap(b.pcs) < n {
+		b.pcs, b.taken = make([]uint64, n), make([]bool, n)
+		b.idx, b.correct, b.collided, b.conf = nil, nil, nil, nil
+	}
+	if armed && cap(b.idx) < n {
+		b.idx = make([]int32, cap(b.pcs))
+		b.correct = make([]bool, cap(b.pcs))
+		b.collided = make([]bool, cap(b.pcs))
+		if b.c.ce != nil {
+			b.conf = make([]predictor.Confidence, cap(b.pcs))
+		}
+	}
+}
+
+// run feeds gathered dynamic events [lo, hi) to the dynamic kernel as one
+// sub-block, its per-event outputs landing in the scratch at the same
+// positions; sub accumulates the counters.
+func (b *combinedBatch) run(lo, hi int, sub, out *predictor.BlockMetrics) {
+	if lo == hi {
+		return
+	}
+	if out.Correct != nil {
+		sub.Correct = b.correct[lo:hi]
+	}
+	if out.Collided != nil {
+		sub.Collided = b.collided[lo:hi]
+	}
+	if out.Conf != nil && b.conf != nil {
+		sub.Conf = b.conf[lo:hi]
+	}
+	b.k.RunBlock(b.pcs[lo:hi], b.taken[lo:hi], sub)
+}
+
+// scatter copies the dynamic events' per-event outputs back to their
+// positions in the caller's block.
+func (b *combinedBatch) scatter(idx []int32, out *predictor.BlockMetrics) {
+	if out.Correct != nil {
+		for j, i := range idx {
+			out.Correct[i] = b.correct[j]
+		}
+	}
+	if out.Collided != nil {
+		for j, i := range idx {
+			out.Collided[i] = b.collided[j]
+		}
+	}
+	if out.Conf != nil && b.conf != nil {
+		for j, i := range idx {
+			out.Conf[i] = b.conf[j]
+		}
+	}
+}
+
+// b2u converts a bool to 0/1.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // EnableCollisionTracking implements predictor.Collider if the dynamic

@@ -205,13 +205,14 @@ func TestShiftPolicyString(t *testing.T) {
 	}
 }
 
-// TestCombinedBatchedPassthrough pins the hint-free wrapper onto its
-// dynamic component's native kernel — for the paper predictors and for
-// tage and the perceptron alike — and checks the passthrough end to end
+// TestCombinedBatchedPassthrough pins the wrapper onto its dynamic
+// component's native kernel — for the paper predictors and for tage and
+// the perceptron alike — and checks the hint-free passthrough end to end
 // for a self-grading component: per-event correctness and confidence
 // grades match the wrapper's own scalar Predict/LastConfidence/Update, and
 // the wrapper's split statistics count every branch as dynamic. A hinted
-// wrapper stays scalar.
+// wrapper keeps the native kernel under every shift policy; only a dynamic
+// component without a kernel (yags, local, mcfarling) leaves it scalar.
 func TestCombinedBatchedPassthrough(t *testing.T) {
 	const n = 5000
 	pcs, taken := make([]uint64, n), make([]bool, n)
@@ -221,14 +222,19 @@ func TestCombinedBatchedPassthrough(t *testing.T) {
 		pcs[i] = 0x4000 + (s>>40%300)*4
 		taken[i] = s>>20%4 != 0
 	}
-	for _, spec := range []string{"gshare:4KB", "2bcgskew:4KB", "tage:4KB", "perceptron:4KB"} {
+	for _, spec := range []string{"bimodal:4KB", "ghist:4KB", "gshare:4KB", "agree:4KB", "bimode:4KB", "gskew:4KB",
+		"2bcgskew:4KB", "tage:4KB", "perceptron:4KB"} {
 		bare, _ := predictor.New(spec)
 		if _, native := predictor.Batch(bare); !native {
 			t.Errorf("%s: no native kernel", spec)
 		}
-		if _, native := predictor.Batch(NewCombined(bare, hintsWith(0x4000, true), NoShift)); native {
-			t.Errorf("%s: hinted wrapper reports a native kernel", spec)
+		for _, shift := range []ShiftPolicy{NoShift, ShiftOutcome, ShiftStatic} {
+			if _, native := predictor.Batch(NewCombined(bare, hintsWith(0x4000, true), shift)); !native {
+				t.Errorf("%s: hinted wrapper (%s) left the native kernel", spec, shift)
+			}
 		}
+	}
+	for _, spec := range []string{"gshare:4KB", "2bcgskew:4KB", "tage:4KB", "perceptron:4KB"} {
 		d1, _ := predictor.New(spec)
 		d2, _ := predictor.New(spec)
 		ref, wrapped := NewCombined(d1, nil, NoShift), NewCombined(d2, nil, NoShift)
@@ -253,6 +259,12 @@ func TestCombinedBatchedPassthrough(t *testing.T) {
 		}
 		if got, want := wrapped.Stats(), ref.Stats(); got != want {
 			t.Errorf("%s: wrapper stats %+v after the block, scalar %+v", spec, got, want)
+		}
+	}
+	for _, spec := range []string{"yags:4KB", "local:4KB", "mcfarling:4KB"} {
+		bare, _ := predictor.New(spec)
+		if _, native := predictor.Batch(NewCombined(bare, hintsWith(0x4000, true), ShiftOutcome)); native {
+			t.Errorf("%s: hinted wrapper over a kernel-less predictor reports a native kernel", spec)
 		}
 	}
 }

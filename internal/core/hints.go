@@ -19,6 +19,8 @@ import (
 	"io"
 	"os"
 	"sort"
+
+	"branchsim/internal/pctab"
 )
 
 // Hint is the static prediction for one branch: the branch is predicted
@@ -37,21 +39,26 @@ type HintDB struct {
 	Scheme   string `json:"scheme"`  // selection scheme that produced it
 	Profile  string `json:"profile"` // input(s) the profile came from
 
-	hints map[uint64]bool
+	hints pctab.Table[bool] // static direction by PC
 }
 
 // NewHintDB returns an empty hint database.
 func NewHintDB(workload, scheme, profileInput string) *HintDB {
-	return &HintDB{Workload: workload, Scheme: scheme, Profile: profileInput, hints: map[uint64]bool{}}
+	return &HintDB{Workload: workload, Scheme: scheme, Profile: profileInput}
 }
 
 // Set installs a static prediction for the branch at pc.
-func (h *HintDB) Set(pc uint64, taken bool) { h.hints[pc] = taken }
+func (h *HintDB) Set(pc uint64, taken bool) {
+	t, _ := h.hints.Put(pc)
+	*t = taken
+}
 
 // Lookup returns the static direction for pc and whether a hint exists.
 func (h *HintDB) Lookup(pc uint64) (taken, ok bool) {
-	taken, ok = h.hints[pc]
-	return taken, ok
+	if t := h.hints.Get(pc); t != nil {
+		return *t, true
+	}
+	return false, false
 }
 
 // Len returns the number of hinted branches.
@@ -59,15 +66,13 @@ func (h *HintDB) Len() int {
 	if h == nil {
 		return 0
 	}
-	return len(h.hints)
+	return h.hints.Len()
 }
 
 // Hints returns all hints sorted by PC.
 func (h *HintDB) Hints() []Hint {
-	out := make([]Hint, 0, len(h.hints))
-	for pc, t := range h.hints {
-		out = append(out, Hint{PC: pc, Taken: t})
-	}
+	out := make([]Hint, 0, h.hints.Len())
+	h.hints.Range(func(pc uint64, t *bool) { out = append(out, Hint{PC: pc, Taken: *t}) })
 	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
 	return out
 }
@@ -110,10 +115,11 @@ func LoadHints(r io.Reader) (*HintDB, error) {
 	}
 	h := NewHintDB(ff.Workload, ff.Scheme, ff.Profile)
 	for _, hint := range ff.Hints {
-		if _, dup := h.hints[hint.PC]; dup {
+		t, added := h.hints.Put(hint.PC)
+		if !added {
 			return nil, fmt.Errorf("core: duplicate hint for pc %#x", hint.PC)
 		}
-		h.hints[hint.PC] = hint.Taken
+		*t = hint.Taken
 	}
 	return h, nil
 }

@@ -116,3 +116,57 @@ func TestLoadHintsRejects(t *testing.T) {
 		t.Fatalf("duplicate hint accepted")
 	}
 }
+
+// TestHintTable covers the hint table at its edges: Set overwrites in place,
+// PC 0 and 2^64−1 miss until hinted and then hit like any other PC, a
+// duplicate of either is rejected on load, and a Save → Load → Save round
+// trip is byte-identical.
+func TestHintTable(t *testing.T) {
+	h := NewHintDB("w", "s", "i")
+	for _, pc := range []uint64{0, ^uint64(0)} {
+		if _, ok := h.Lookup(pc); ok {
+			t.Fatalf("empty db hits pc %#x", pc)
+		}
+	}
+	for i := uint64(1); i <= 300; i++ {
+		h.Set(i*4, i%3 == 0)
+	}
+	for _, pc := range []uint64{0, ^uint64(0)} {
+		if _, ok := h.Lookup(pc); ok {
+			t.Fatalf("unhinted pc %#x hits", pc)
+		}
+		h.Set(pc, true)
+		h.Set(pc, false)
+		if taken, ok := h.Lookup(pc); !ok || taken {
+			t.Fatalf("pc %#x after Set(true), Set(false): %v %v", pc, taken, ok)
+		}
+	}
+	h.Set(8, true)
+	if taken, _ := h.Lookup(8); !taken || h.Len() != 302 {
+		t.Fatalf("overwrite: taken=%v len=%d, want true, 302", taken, h.Len())
+	}
+	if hs := h.Hints(); hs[0].PC != 0 || hs[len(hs)-1].PC != ^uint64(0) {
+		t.Fatalf("Hints() not sorted end to end: first %#x, last %#x", hs[0].PC, hs[len(hs)-1].PC)
+	}
+
+	var first, second bytes.Buffer
+	if err := h.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadHints(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Save(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("Save → Load → Save is not byte-identical")
+	}
+	for _, pc := range []string{"0", "18446744073709551615"} {
+		dup := `{"version":1,"hints":[{"pc":` + pc + `,"taken":true},{"pc":4},{"pc":` + pc + `}]}`
+		if _, err := LoadHints(strings.NewReader(dup)); err == nil {
+			t.Errorf("duplicate hint for pc %s accepted", pc)
+		}
+	}
+}

@@ -389,6 +389,10 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 	return db, armError("profile", key, err)
 }
 
+// biasOnly is the bias-only phase-1 profiler: a trace.Recorder for the
+// capture tee and a trace.BlockSink, so replays feed it decoded blocks.
+// It reports no BatchKernel, so a capturing biasOnly stays on the per-event
+// tee and capture builds no decoded-block cache for it.
 type biasOnly struct {
 	db    *profile.DB
 	instr uint64
@@ -400,6 +404,14 @@ func (b *biasOnly) Branch(pc uint64, taken bool) {
 }
 
 func (b *biasOnly) Ops(n uint64) { b.instr += n }
+
+// RunBlock implements trace.BlockSink.
+func (b *biasOnly) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
+	for i, pc := range pcs {
+		b.instr += ops[i] + 1
+		b.db.Record(pc, taken[i])
+	}
+}
 
 // Arm describes one measured configuration.
 type Arm struct {

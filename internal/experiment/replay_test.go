@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"branchsim/internal/profile"
 	"branchsim/internal/replay"
 	"branchsim/internal/sim"
 	"branchsim/internal/trace"
@@ -112,5 +114,44 @@ func TestHarnessReplayImprovement(t *testing.T) {
 	}
 	if want != got {
 		t.Errorf("improvement with replay = %v, direct = %v", got, want)
+	}
+}
+
+// TestBiasOnlyBlocksMatchPerEvent checks the bias-only profiler's block
+// path: replaying a chunk through the block decoder, at any block size,
+// yields the profile and instruction count of the per-event decode.
+func TestBiasOnlyBlocksMatchPerEvent(t *testing.T) {
+	var w trace.ChunkWriter
+	s := uint64(5)
+	for i := 0; i < 20_000; i++ {
+		s = s*6364136223846793005 + 1442695040888963407
+		if s%5 == 0 {
+			w.Ops(s >> 40 % 30)
+		}
+		w.Branch(0x4000+(s>>20%700)*4, s>>50%3 != 0)
+	}
+	w.Ops(7)
+	data := w.Cut()
+	want := &biasOnly{db: profile.NewDB("w", "i")}
+	if err := trace.DecodeChunk(data, want); err != nil {
+		t.Fatal(err)
+	}
+	var wantJSON bytes.Buffer
+	want.db.Save(&wantJSON)
+	for _, max := range []int{1, 5, 1000, 0} {
+		got := &biasOnly{db: profile.NewDB("w", "i")}
+		if err := trace.DecodeChunkBlocks(data, got, &trace.BlockBuf{Max: max}); err != nil {
+			t.Fatal(err)
+		}
+		var gotJSON bytes.Buffer
+		got.db.Save(&gotJSON)
+		if got.instr != want.instr || !bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()) {
+			t.Errorf("block size %d: %d instructions, profile equal %v; per-event %d", max, got.instr,
+				bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()), want.instr)
+		}
+	}
+	var _ trace.BlockSink = want
+	if _, ok := any(want).(interface{ BatchKernel() bool }); ok {
+		t.Error("biasOnly reports BatchKernel: captures would build the decoded-block cache for it")
 	}
 }

@@ -108,8 +108,8 @@ type BatchSim interface {
 }
 
 // BatchProvider is implemented by wrappers that can sometimes expose a
-// native kernel — e.g. a combined static+dynamic predictor whose hint
-// database is empty delegates whole blocks to its dynamic component.
+// native kernel — e.g. a combined static+dynamic predictor runs whole
+// blocks whenever its dynamic component has a kernel.
 // Batched returns (kernel, true) when delegation is exact, (nil, false)
 // when the wrapper must stay on the scalar path.
 type BatchProvider interface {
@@ -133,8 +133,8 @@ func Batch(p Predictor) (bs BatchSim, native bool) {
 }
 
 // scalarBlock is the generic fallback: the scalar protocol in block
-// clothing, for predictors without a kernel (local, yags, combined
-// predictors with hints, …).
+// clothing, for predictors without a kernel (local, yags, mcfarling, and
+// combined predictors over them).
 type scalarBlock struct {
 	p   Predictor
 	col Collider            // nil when p cannot track collisions

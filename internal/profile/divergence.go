@@ -35,10 +35,10 @@ func Diverge(train, ref *DB) Divergence {
 
 	var covS, flipS, smallS, largeS uint64
 	var covD, flipD, smallD, largeD uint64
-	for pc, rb := range ref.byPC {
-		tb := train.byPC[pc]
+	ref.each(func(rb *BranchStats) {
+		tb := train.Get(rb.PC)
 		if tb == nil {
-			continue
+			return
 		}
 		covS++
 		covD += rb.Exec
@@ -59,7 +59,7 @@ func Diverge(train, ref *DB) Divergence {
 			largeS++
 			largeD += rb.Exec
 		}
-	}
+	})
 
 	d.CoverageStatic = float64(covS) / refStatic
 	d.CoverageDynamic = float64(covD) / refDynamic
@@ -81,10 +81,10 @@ func (d *DB) HighlyBiasedDynamicFraction(cutoff float64) float64 {
 		return 0
 	}
 	var biased uint64
-	for _, b := range d.byPC {
+	d.each(func(b *BranchStats) {
 		if b.Bias() > cutoff {
 			biased += b.Exec
 		}
-	}
+	})
 	return float64(biased) / float64(total)
 }

@@ -57,10 +57,11 @@ func Load(r io.Reader) (*DB, error) {
 		if b == nil {
 			return nil, fmt.Errorf("profile: null branch record at index %d", i)
 		}
-		if prev, dup := d.byPC[b.PC]; dup {
-			return nil, fmt.Errorf("profile: duplicate record for pc %#x (%v, %v)", b.PC, prev, b)
+		slot, added := d.byPC.Put(b.PC)
+		if !added {
+			return nil, fmt.Errorf("profile: duplicate record for pc %#x (%v, %v)", b.PC, *slot, b)
 		}
-		d.byPC[b.PC] = b
+		*slot = b
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err

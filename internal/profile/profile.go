@@ -11,6 +11,8 @@ package profile
 import (
 	"fmt"
 	"sort"
+
+	"branchsim/internal/pctab"
 )
 
 // BranchStats accumulates the behaviour of one static conditional branch.
@@ -75,47 +77,55 @@ type DB struct {
 	Predictor    string `json:"predictor,omitempty"` // spec whose accuracy Correct records
 	Instructions uint64 `json:"instructions"`
 
-	byPC map[uint64]*BranchStats
+	// byPC holds each branch's record. Records are allocated once and
+	// never move, so a *BranchStats from Get stays valid while the branch
+	// is in the database.
+	byPC pctab.Table[*BranchStats]
 }
 
 // NewDB returns an empty database.
 func NewDB(workload, input string) *DB {
-	return &DB{Workload: workload, Input: input, byPC: map[uint64]*BranchStats{}}
+	return &DB{Workload: workload, Input: input}
 }
 
 // Get returns the stats for pc, or nil if the branch never executed.
-func (d *DB) Get(pc uint64) *BranchStats { return d.byPC[pc] }
+func (d *DB) Get(pc uint64) *BranchStats {
+	if b := d.byPC.Get(pc); b != nil {
+		return *b
+	}
+	return nil
+}
 
 // Len returns the number of static branches recorded.
-func (d *DB) Len() int { return len(d.byPC) }
+func (d *DB) Len() int { return d.byPC.Len() }
+
+// each calls fn for every recorded branch, in no particular order.
+func (d *DB) each(fn func(b *BranchStats)) {
+	d.byPC.Range(func(_ uint64, b **BranchStats) { fn(*b) })
+}
 
 // DynamicBranches returns the total dynamic conditional branch count.
 func (d *DB) DynamicBranches() uint64 {
 	var n uint64
-	for _, b := range d.byPC {
-		n += b.Exec
-	}
+	d.each(func(b *BranchStats) { n += b.Exec })
 	return n
 }
 
 // Branches returns all recorded branches sorted by PC.
 func (d *DB) Branches() []*BranchStats {
-	out := make([]*BranchStats, 0, len(d.byPC))
-	for _, b := range d.byPC {
-		out = append(out, b)
-	}
+	out := make([]*BranchStats, 0, d.Len())
+	d.each(func(b *BranchStats) { out = append(out, b) })
 	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
 	return out
 }
 
 // stats returns the record for pc, creating it on first use.
 func (d *DB) stats(pc uint64) *BranchStats {
-	b := d.byPC[pc]
-	if b == nil {
-		b = &BranchStats{PC: pc}
-		d.byPC[pc] = b
+	b, added := d.byPC.Put(pc)
+	if added {
+		*b = &BranchStats{PC: pc}
 	}
-	return b
+	return *b
 }
 
 // Record adds one dynamic execution of the branch at pc.
@@ -152,18 +162,17 @@ func (d *DB) RecordDestructiveCollision(pc uint64) { d.stats(pc).Dcol++ }
 func (d *DB) RecordLowConfidence(pc uint64) { d.stats(pc).LowConf++ }
 
 // Remove deletes the branch at pc from the database.
-func (d *DB) Remove(pc uint64) { delete(d.byPC, pc) }
+func (d *DB) Remove(pc uint64) { d.byPC.Delete(pc) }
 
 // Clone returns a deep copy.
 func (d *DB) Clone() *DB {
-	out := NewDB(d.Workload, d.Input)
-	out.Predictor = d.Predictor
-	out.Instructions = d.Instructions
-	for pc, b := range d.byPC {
-		cp := *b
-		out.byPC[pc] = &cp
-	}
-	return out
+	out := *d
+	out.byPC = d.byPC.Clone()
+	out.byPC.Range(func(_ uint64, b **BranchStats) {
+		cp := **b
+		*b = &cp
+	})
+	return &out
 }
 
 // Merge folds other into d, summing per-branch counts — the Spike model of
@@ -180,26 +189,22 @@ func (d *DB) Merge(other *DB) {
 		d.Predictor = ""
 	}
 	d.Instructions += other.Instructions
-	for pc, ob := range other.byPC {
-		b := d.stats(pc)
+	other.each(func(ob *BranchStats) {
+		b := d.stats(ob.PC)
 		b.Exec += ob.Exec
 		b.Taken += ob.Taken
 		if samePred {
 			b.Correct += ob.Correct
 			b.Dcol += ob.Dcol
 			b.LowConf += ob.LowConf
-		} else {
-			b.Correct = 0
-			b.Dcol = 0
-			b.LowConf = 0
 		}
-	}
+	})
 	if !samePred {
-		for _, b := range d.byPC {
+		d.each(func(b *BranchStats) {
 			b.Correct = 0
 			b.Dcol = 0
 			b.LowConf = 0
-		}
+		})
 	}
 	if d.Input != other.Input {
 		d.Input = d.Input + "+" + other.Input
@@ -212,40 +217,43 @@ func (d *DB) Merge(other *DB) {
 // Figure 13: hints are then generated only from branches whose behaviour is
 // stable across inputs. It returns the number of branches removed.
 func (d *DB) RemoveUnstable(other *DB, maxDrift float64) int {
-	removed := 0
-	for pc, b := range d.byPC {
-		ob := other.byPC[pc]
+	var unstable []uint64
+	d.each(func(b *BranchStats) {
+		ob := other.Get(b.PC)
 		if ob == nil {
-			continue
+			return
 		}
 		drift := b.TakenBias() - ob.TakenBias()
 		if drift < 0 {
 			drift = -drift
 		}
 		if drift > maxDrift {
-			delete(d.byPC, pc)
-			removed++
+			unstable = append(unstable, b.PC)
 		}
+	})
+	for _, pc := range unstable {
+		d.Remove(pc)
 	}
-	return removed
+	return len(unstable)
 }
 
 // Validate performs internal consistency checks and returns the first
 // problem found.
 func (d *DB) Validate() error {
-	for pc, b := range d.byPC {
-		if b.PC != pc {
-			return fmt.Errorf("profile: key %#x holds record for pc %#x", pc, b.PC)
+	var err error
+	d.byPC.Range(func(pc uint64, bp **BranchStats) {
+		b := *bp
+		switch {
+		case err != nil:
+		case b.PC != pc:
+			err = fmt.Errorf("profile: key %#x holds record for pc %#x", pc, b.PC)
+		case b.Taken > b.Exec:
+			err = fmt.Errorf("profile: pc %#x: taken %d > exec %d", pc, b.Taken, b.Exec)
+		case b.Correct > b.Exec:
+			err = fmt.Errorf("profile: pc %#x: correct %d > exec %d", pc, b.Correct, b.Exec)
+		case b.LowConf > b.Exec:
+			err = fmt.Errorf("profile: pc %#x: lowconf %d > exec %d", pc, b.LowConf, b.Exec)
 		}
-		if b.Taken > b.Exec {
-			return fmt.Errorf("profile: pc %#x: taken %d > exec %d", pc, b.Taken, b.Exec)
-		}
-		if b.Correct > b.Exec {
-			return fmt.Errorf("profile: pc %#x: correct %d > exec %d", pc, b.Correct, b.Exec)
-		}
-		if b.LowConf > b.Exec {
-			return fmt.Errorf("profile: pc %#x: lowconf %d > exec %d", pc, b.LowConf, b.Exec)
-		}
-	}
-	return nil
+	})
+	return err
 }

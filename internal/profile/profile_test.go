@@ -356,3 +356,72 @@ func TestRecordDestructiveCollision(t *testing.T) {
 		t.Fatalf("dcol = %d", db.Get(1).Dcol)
 	}
 }
+
+// TestProfileTable covers the record table at its edges: repeated records
+// of a PC land on one stable *BranchStats however far the table grows; PC 0
+// and 2^64−1 miss until recorded and then behave like any other PC through
+// Remove, RemoveUnstable, Merge and Clone; a duplicate of either is
+// rejected on load; and a Save → Load → Save round trip is byte-identical.
+func TestProfileTable(t *testing.T) {
+	const lo, hi = uint64(0), ^uint64(0)
+	db := NewDB("w", "t")
+	if db.Get(lo) != nil || db.Get(hi) != nil {
+		t.Fatal("empty db hits an extreme pc")
+	}
+	db.Record(lo, true)
+	db.Record(hi, false)
+	first := db.Get(lo)
+	for i := uint64(1); i <= 5000; i++ {
+		db.Record(i*4, i%2 == 0)
+	}
+	db.Record(lo, false)
+	if db.Get(lo) != first || first.Exec != 2 || first.Taken != 1 {
+		t.Fatalf("pc 0's record moved or lost counts: %+v", db.Get(lo))
+	}
+	if got := db.Get(hi); got == nil || got.PC != hi || got.Exec != 1 || db.Len() != 5002 {
+		t.Fatalf("pc 2^64-1 = %+v, len %d", got, db.Len())
+	}
+
+	c := db.Clone()
+	c.Record(hi, true)
+	c.Remove(lo)
+	c.Remove(lo)
+	if c.Get(lo) != nil || c.Len() != 5001 || db.Get(lo) == nil || db.Get(hi).Exec != 1 {
+		t.Fatal("Clone/Remove of an extreme pc leaks between the copies")
+	}
+
+	other := NewDB("w", "ref")
+	other.Record(hi, true) // drifts from db's 0% taken
+	other.Record(lo, false)
+	other.Record(lo, true) // 50% taken, as in db
+	if n := db.Clone().RemoveUnstable(other, 0.05); n != 1 {
+		t.Fatalf("RemoveUnstable removed %d, want pc 2^64-1 alone", n)
+	}
+	m := NewDB("w", "t")
+	m.Merge(db)
+	m.Merge(other)
+	if m.Get(lo).Exec != 4 || m.Get(hi).Exec != 2 || m.Len() != db.Len() {
+		t.Fatalf("merge: pc 0 %+v, pc 2^64-1 %+v, len %d", m.Get(lo), m.Get(hi), m.Len())
+	}
+
+	var a, b bytes.Buffer
+	if err := db.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(bytes.NewReader(a.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("Save → Load → Save is not byte-identical")
+	}
+	for _, pc := range []string{"0", "18446744073709551615"} {
+		blob := `{"version":1,"workload":"w","input":"t","branches":[{"pc":` + pc + `,"exec":1},{"pc":4,"exec":1},{"pc":` + pc + `,"exec":2}]}`
+		if _, err := Load(strings.NewReader(blob)); err == nil {
+			t.Errorf("duplicate record for pc %s accepted", pc)
+		}
+	}
+}

@@ -3,8 +3,10 @@ package sim_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
+	"branchsim/internal/core"
 	"branchsim/internal/predictor"
 	"branchsim/internal/profile"
 	"branchsim/internal/sim"
@@ -14,10 +16,50 @@ import (
 // batchSpecs are the nine devirtualized predictors — the seven table
 // predictors plus tage and the perceptron — and one scalar-fallback
 // scheme, so the differential also covers the Runner's generic block path.
+// A "+hints" suffix wraps the predictor in a core.Combined with static
+// hints on about half the stream's sites (see newBatchPredictor), under the
+// shift policy named in parentheses, so the hinted kernel is covered too.
 var batchSpecs = []string{
 	"bimodal:1KB", "ghist:1KB", "gshare:1KB", "agree:1KB",
 	"bimode:1KB", "gskew:1KB", "2bcgskew:1KB", "tage:1KB",
 	"perceptron:1KB", "yags:1KB",
+	"gshare:1KB+hints", "bimode:1KB+hints(shift)", "2bcgskew:1KB+hints(shiftstatic)",
+	"tage:1KB+hints(shift)", "perceptron:1KB+hints", "yags:1KB+hints(shift)",
+}
+
+// pcSet is a trace.Recorder collecting the distinct branch PCs of a stream.
+type pcSet map[uint64]bool
+
+func (s pcSet) Branch(pc uint64, _ bool) { s[pc] = true }
+func (s pcSet) Ops(uint64)               {}
+
+// newBatchPredictor builds spec's predictor for a replay of data. A hinted
+// spec hints each site of data whose hashed PC has its top bit set, with
+// the next bit as the static direction.
+func newBatchPredictor(t *testing.T, spec string, data []byte) predictor.Predictor {
+	t.Helper()
+	base, hinted, _ := strings.Cut(spec, "+")
+	p, err := predictor.New(base)
+	if err != nil {
+		t.Fatalf("predictor %q: %v", spec, err)
+	}
+	if hinted == "" {
+		return p
+	}
+	shift := map[string]core.ShiftPolicy{"hints": core.NoShift, "hints(shift)": core.ShiftOutcome, "hints(shiftstatic)": core.ShiftStatic}
+	policy, ok := shift[hinted]
+	if !ok {
+		t.Fatalf("spec %q: unknown hint suffix", spec)
+	}
+	sites := pcSet{}
+	trace.DecodeChunk(data, sites) // a corrupt tail only shortens the set
+	hints := core.NewHintDB("fuzz", "test", "fuzz")
+	for pc := range sites {
+		if x := pc * 0x9e3779b97f4a7c15; x>>63 == 1 {
+			hints.Set(pc, x>>62&1 == 1)
+		}
+	}
+	return core.NewCombined(p, hints, policy)
 }
 
 // encodeStream builds one chunk from a deterministic pseudo-random event
@@ -50,25 +92,22 @@ func encodeStream(n int, seed uint64) []byte {
 // decode error.
 func runScalar(t *testing.T, spec string, data []byte, track bool, db *profile.DB) (sim.Metrics, error) {
 	t.Helper()
-	return runPath(t, spec, track, db, func(r *sim.Runner) error {
+	return runPath(t, spec, data, track, db, func(r *sim.Runner) error {
 		return trace.DecodeChunk(data, r)
 	})
 }
 
 func runBatch(t *testing.T, spec string, data []byte, track bool, db *profile.DB, blockMax int) (sim.Metrics, error) {
 	t.Helper()
-	return runPath(t, spec, track, db, func(r *sim.Runner) error {
+	return runPath(t, spec, data, track, db, func(r *sim.Runner) error {
 		buf := trace.BlockBuf{Max: blockMax}
 		return trace.DecodeChunkBlocks(data, r, &buf)
 	})
 }
 
-func runPath(t *testing.T, spec string, track bool, db *profile.DB, feed func(*sim.Runner) error) (sim.Metrics, error) {
+func runPath(t *testing.T, spec string, data []byte, track bool, db *profile.DB, feed func(*sim.Runner) error) (sim.Metrics, error) {
 	t.Helper()
-	p, err := predictor.New(spec)
-	if err != nil {
-		t.Fatalf("predictor %q: %v", spec, err)
-	}
+	p := newBatchPredictor(t, spec, data)
 	opts := []sim.Option{sim.WithLabels("fuzz", "fuzz")}
 	if track {
 		opts = append(opts, sim.WithCollisions())
@@ -77,7 +116,7 @@ func runPath(t *testing.T, spec string, track bool, db *profile.DB, feed func(*s
 		opts = append(opts, sim.WithProfile(db))
 	}
 	r := sim.NewRunner(p, opts...)
-	err = feed(r)
+	err := feed(r)
 	return r.Metrics(), err
 }
 

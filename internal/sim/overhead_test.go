@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"branchsim/internal/obs"
@@ -11,59 +10,38 @@ import (
 )
 
 // TestDisabledTelemetryOverheadGuard asserts the zero-cost-when-disabled
-// contract: a Runner built with WithTelemetry(telemetry.New(zeroConfig, nil))
-// — which yields a nil collector, the same state every telemetry-free caller
-// gets — must not be measurably slower than one built without the option at
-// all. The per-branch cost of disabled telemetry is a single nil check, so
-// the ratio bound is generous only to absorb shared-CI timing noise.
+// contract by counting instead of timing: a zero telemetry.Config yields a
+// nil collector — the state every telemetry-free caller gets — and a Runner
+// built with WithTelemetry of it does exactly the per-event work of one
+// built without the option, on the per-event and the block path alike:
+// the same scalar calls, confidence queries, table snapshots and kernel
+// blocks, and equal metrics. The wall-clock ratio this guard used to time
+// is reported by the benchmark harness as telemetry.off_ratio.
 func TestDisabledTelemetryOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short")
+	tel := telemetry.New(telemetry.Config{}, nil)
+	if tel != nil {
+		t.Fatal("zero telemetry config built a collector")
 	}
-
-	// A synthetic stream: 512 sites, mixed bias, fixed seed.
-	const streamLen = 1 << 16
-	rng := xrand.New(7)
-	pcs := make([]uint64, streamLen)
-	outs := make([]bool, streamLen)
-	for i := range pcs {
-		pcs[i] = 0x1_0000 + uint64(rng.Intn(512))*4
-		outs[i] = rng.Bool(0.7)
-	}
-
-	drive := func(opts ...Option) func(b *testing.B) {
-		return func(b *testing.B) {
-			p, err := predictor.New("gshare:8KB")
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := NewRunner(p, append([]Option{WithCollisions()}, opts...)...)
-			for i := 0; i < b.N; i++ {
-				k := i & (streamLen - 1)
-				r.Branch(pcs[k], outs[k])
-			}
-			_ = r.Metrics()
+	pcs, taken, ops, opsSum := probeBlocks()
+	run := func(opts ...Option) (*probe, Metrics) {
+		p := &probe{GShare: predictor.NewGShare(8 << 10)}
+		r := NewRunner(p, append([]Option{WithCollisions()}, opts...)...)
+		for i, pc := range pcs {
+			r.Ops(ops[i])
+			r.Branch(pc, taken[i])
 		}
-	}
-	// Interleave the measurement rounds (base, disabled, base, disabled, …)
-	// and take the best of each: a CPU-frequency shift or a noisy neighbor
-	// on 1-CPU CI then biases both sides alike instead of whichever side
-	// happened to run entirely inside the disturbance.
-	baseFn := drive()
-	disabledFn := drive(WithTelemetry(telemetry.New(telemetry.Config{}, nil)))
-	base, disabled := math.MaxFloat64, math.MaxFloat64
-	for round := 0; round < 3; round++ {
-		if v := float64(testing.Benchmark(baseFn).NsPerOp()); v < base {
-			base = v
+		for i := 0; i < 3; i++ {
+			r.RunBlockSummed(pcs, taken, ops, opsSum)
 		}
-		if v := float64(testing.Benchmark(disabledFn).NsPerOp()); v < disabled {
-			disabled = v
-		}
+		return p, r.Metrics()
 	}
-
-	if ratio := disabled / base; ratio > 1.30 {
-		t.Errorf("disabled telemetry is %.2fx the untelemetered runner (%.1f vs %.1f ns/branch); want <= 1.30x",
-			ratio, disabled, base)
+	base, baseM := run()
+	disabled, disabledM := run(WithTelemetry(tel))
+	if base.counts() != disabled.counts() {
+		t.Errorf("disabled telemetry changed the per-event work: %v, untelemetered %v", disabled.counts(), base.counts())
+	}
+	if d := baseM.Diff(disabledM); d != "" {
+		t.Errorf("disabled telemetry changed the metrics: %s", d)
 	}
 }
 
@@ -75,6 +53,10 @@ type probe struct {
 	*predictor.GShare
 	scalar, grades, snapshots, blocks, armed int
 }
+
+// counts returns the probe's tallies: scalar calls, grades, snapshots,
+// blocks and armed blocks.
+func (p *probe) counts() [5]int { return [5]int{p.scalar, p.grades, p.snapshots, p.blocks, p.armed} }
 
 func (p *probe) Predict(pc uint64) bool               { p.scalar++; return p.GShare.Predict(pc) }
 func (p *probe) Update(pc uint64, taken bool)         { p.scalar++; p.GShare.Update(pc, taken) }

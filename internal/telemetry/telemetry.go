@@ -525,16 +525,15 @@ func (c *Collector) buildTopK() {
 	rec := obs.TopKRecord{
 		Workload: c.workload, Input: c.input, Predictor: c.pred,
 		K:            c.cfg.TopK,
-		Sites:        c.sites.n,
+		Sites:        c.sites.Len(),
 		SitesDropped: c.sitesDropped,
 	}
 	biasHist := make([]uint64, maxHistBucket+1)
 	mispHist := make([]uint64, maxHistBucket+1)
 	maxBias, maxMisp := 0, 0
-	for i := range c.sites.slots {
-		s := &c.sites.slots[i]
+	c.sites.Range(func(_ uint64, s *site) {
 		if s.execs == 0 {
-			continue
+			return
 		}
 		bias := float64(s.taken) / float64(s.execs)
 		if bias < 0.5 {
@@ -550,8 +549,8 @@ func (c *Collector) buildTopK() {
 		if m > maxMisp {
 			maxMisp = m
 		}
-	}
-	if c.sites.n > 0 {
+	})
+	if c.sites.Len() > 0 {
 		rec.BiasHist = biasHist[:maxBias+1]
 		rec.MispHist = mispHist[:maxMisp+1]
 	}
@@ -565,7 +564,7 @@ func (c *Collector) buildTopK() {
 	liveTop := rec
 	c.o.Publish(&liveTop)
 	c.o.Counter(obs.MTelemetryTopK).Add(1)
-	c.o.Gauge(obs.MTelemetrySites).Set(int64(c.sites.n))
+	c.o.Gauge(obs.MTelemetrySites).Set(int64(c.sites.Len()))
 	c.o.Counter(obs.MTelemetrySitesDropped).Add(c.sitesDropped)
 }
 
@@ -580,7 +579,7 @@ func (c *Collector) branchCounts(s *spaceSaving, withLowRate bool) []obs.BranchC
 	out := make([]obs.BranchCount, 0, len(top))
 	for _, t := range top {
 		bc := obs.BranchCount{PC: t.PC, Count: t.Count, MaxError: t.MaxError}
-		if st := c.sites.find(t.PC); st != nil && st.execs > 0 {
+		if st := c.sites.Get(t.PC); st != nil && st.execs > 0 {
 			bc.Execs = st.execs
 			bias := float64(st.taken) / float64(st.execs)
 			if bias < 0.5 {

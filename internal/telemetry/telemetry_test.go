@@ -327,3 +327,38 @@ func TestDroppedSitesStayOffMispredictedList(t *testing.T) {
 		t.Errorf("top destructive = %+v, want the dropped site alone, without a profile", rec.TopDestructive)
 	}
 }
+
+// TestSiteTableHoldsExtremePCs is the regression test for keying sites by
+// pc+1 with 0 marking an empty slot: pc = 2^64−1 wrapped to the empty key,
+// so every execution claimed a fresh site, find never found it, and after
+// SiteCap executions every new branch was dropped. Both extreme PCs must be
+// one site each, found and profiled like any other.
+func TestSiteTableHoldsExtremePCs(t *testing.T) {
+	tab := newSiteTable(4)
+	for i := 0; i < 5; i++ {
+		tab.claim(^uint64(0)).execs++
+		tab.claim(0).execs++
+	}
+	if tab.Len() != 2 {
+		t.Fatalf("5 claims each of pc 0 and 2^64-1 hold %d sites, want 2", tab.Len())
+	}
+	for _, pc := range []uint64{0, ^uint64(0)} {
+		if s := tab.Get(pc); s == nil || s.execs != 5 {
+			t.Fatalf("site %#x = %+v, want 5 executions", pc, s)
+		}
+	}
+
+	c := New(Config{Interval: 10_000, TopK: 4, SiteCap: 3}, nil)
+	c.Bind(predictor.NewBimodal(64), "w", "i", "p", true)
+	for i := 0; i < 10; i++ {
+		c.Branch(^uint64(0), true, false, false)
+	}
+	c.Branch(0x1000, true, true, false)
+	rec := c.Finish().TopK
+	if rec.Sites != 2 || rec.SitesDropped != 0 {
+		t.Fatalf("sites = %d, dropped = %d; want 2, 0", rec.Sites, rec.SitesDropped)
+	}
+	if len(rec.TopMispredicted) != 1 || rec.TopMispredicted[0].PC != ^uint64(0) || rec.TopMispredicted[0].Execs != 10 {
+		t.Errorf("top mispredicted = %+v, want pc 2^64-1 with its 10-execution profile", rec.TopMispredicted)
+	}
+}
