@@ -1,25 +1,40 @@
-// Regression tests for the deprecated Run/Profile wrappers, kept running
-// until the wrappers are removed — facade_test.go proves Simulate equivalent.
+// End-to-end tests of the public facade: simulation, phase-1 profiling and
+// the combined scheme, all through Simulate.
 package branchsim_test
 
-//lint:file-ignore SA1019 this file pins the behaviour of the deprecated wrappers on purpose
-
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"branchsim"
 )
 
+// simulate runs one Simulate call on wl/input with the given options.
+func simulate(wl, input string, opts ...branchsim.SimOption) (branchsim.Metrics, error) {
+	return branchsim.Simulate(context.Background(),
+		append([]branchsim.SimOption{branchsim.Workload(wl), branchsim.Input(input)}, opts...)...)
+}
+
+// profile collects a phase-1 profile of wl/input: bias-only for an empty
+// spec, otherwise with the spec's per-branch accuracy and collisions.
+func profile(wl, input, spec string) (*branchsim.ProfileDB, branchsim.Metrics, error) {
+	db := branchsim.NewProfileDB(wl, input)
+	opts := []branchsim.SimOption{branchsim.WithProfileInto(db)}
+	if spec != "" {
+		opts = append(opts, branchsim.WithPredictorSpec(spec), branchsim.WithCollisions())
+	}
+	m, err := simulate(wl, input, opts...)
+	return db, m, err
+}
+
 func TestNewPredictorAndRun(t *testing.T) {
 	p, err := branchsim.NewPredictor("gshare:2KB")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := branchsim.Run(branchsim.RunConfig{
-		Workload: "compress", Input: branchsim.InputTest,
-		Predictor: p, TrackCollisions: true,
-	})
+	m, err := simulate("compress", branchsim.InputTest,
+		branchsim.WithPredictor(p), branchsim.WithCollisions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,20 +50,20 @@ func TestNewPredictorAndRun(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := branchsim.Run(branchsim.RunConfig{Workload: "compress", Input: "test"}); err == nil {
+	if _, err := simulate("compress", "test"); err == nil {
 		t.Fatalf("nil predictor accepted")
 	}
 	p, _ := branchsim.NewPredictor("bimodal:1KB")
-	if _, err := branchsim.Run(branchsim.RunConfig{Workload: "nosuch", Input: "test", Predictor: p}); err == nil {
+	if _, err := simulate("nosuch", "test", branchsim.WithPredictor(p)); err == nil {
 		t.Fatalf("unknown workload accepted")
 	}
-	if _, err := branchsim.Run(branchsim.RunConfig{Workload: "compress", Input: "nosuch", Predictor: p}); err == nil {
+	if _, err := simulate("compress", "nosuch", branchsim.WithPredictor(p)); err == nil {
 		t.Fatalf("unknown input accepted")
 	}
 }
 
 func TestProfileBiasOnly(t *testing.T) {
-	db, m, err := branchsim.Profile("compress", branchsim.InputTest, "")
+	db, m, err := profile("compress", branchsim.InputTest, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +79,7 @@ func TestProfileBiasOnly(t *testing.T) {
 }
 
 func TestProfileWithPredictor(t *testing.T) {
-	db, m, err := branchsim.Profile("compress", branchsim.InputTest, "gshare:2KB")
+	db, m, err := profile("compress", branchsim.InputTest, "gshare:2KB")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +99,12 @@ func TestEndToEndCombinedImproves(t *testing.T) {
 	const wl, input, spec = "gcc", branchsim.InputTest, "ghist:1KB"
 
 	dyn, _ := branchsim.NewPredictor(spec)
-	base, err := branchsim.Run(branchsim.RunConfig{Workload: wl, Input: input, Predictor: dyn})
+	base, err := simulate(wl, input, branchsim.WithPredictor(dyn))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	db, _, err := branchsim.Profile(wl, input, spec)
+	db, _, err := profile(wl, input, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +118,7 @@ func TestEndToEndCombinedImproves(t *testing.T) {
 
 	dyn2, _ := branchsim.NewPredictor(spec)
 	comb := branchsim.Combine(dyn2, hints, branchsim.NoShift)
-	m, err := branchsim.Run(branchsim.RunConfig{Workload: wl, Input: input, Predictor: comb})
+	m, err := simulate(wl, input, branchsim.WithPredictor(comb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +133,7 @@ func TestEndToEndCombinedImproves(t *testing.T) {
 }
 
 func TestDivergeExposedOnFacade(t *testing.T) {
-	a, _, err := branchsim.Profile("compress", branchsim.InputTest, "")
+	a, _, err := profile("compress", branchsim.InputTest, "")
 	if err != nil {
 		t.Fatal(err)
 	}

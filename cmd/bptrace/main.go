@@ -1,7 +1,9 @@
 // Command bptrace records workload branch streams to compact binary trace
-// files, prints statistics about existing traces, and replays traces through
-// predictors. Traces decouple workload execution from simulation: record
-// once, sweep many predictor configurations.
+// files (the checksummed chunk format of internal/trace, the same files the
+// replay engine spills and exports), prints statistics about existing
+// traces, and replays traces through predictors. Traces decouple workload
+// execution from simulation: record once, sweep many predictor
+// configurations.
 //
 // Examples:
 //
@@ -86,34 +88,59 @@ func record(ctx context.Context, args []string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fi, _ := os.Stat(*out)
-	fmt.Printf("recorded %s/%s: %d branches, %d instructions, %d bytes (%.2f bits/branch)\n",
-		*wl, *input, counts.Branches, counts.Instructions, fi.Size(),
-		8*float64(fi.Size())/float64(counts.Branches))
+	fi, err := os.Stat(*out)
+	if err != nil {
+		return err
+	}
+	fmt.Println(recordSummary(*wl, *input, counts, fi.Size()))
 	return nil
+}
+
+// recordSummary is record's report line.
+func recordSummary(wl, input string, c trace.Counts, size int64) string {
+	return fmt.Sprintf("recorded %s/%s: %d branches, %d instructions, %d bytes (%.2f bits/branch)",
+		wl, input, c.Branches, c.Instructions, size, ratio(8*float64(size), c.Branches))
+}
+
+// ratio is num/den, or 0 for an empty trace.
+func ratio(num float64, den uint64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return num / float64(den)
 }
 
 func stat(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("stat: expected one trace file")
 	}
-	f, err := os.Open(args[0])
+	counts, err := replayFile(args[0], trace.Discard)
 	if err != nil {
 		return err
+	}
+	fmt.Println(statSummary(args[0], counts))
+	return nil
+}
+
+// statSummary is stat's report line.
+func statSummary(name string, c trace.Counts) string {
+	return fmt.Sprintf("%s: %d instructions, %d branches (%.1f CBRs/KI, %.1f%% taken)",
+		name, c.Instructions, c.Branches, c.CBRsPerKI(), ratio(100*float64(c.TakenCount), c.Branches))
+}
+
+// replayFile replays the trace file at path into rec and returns the
+// stream's totals.
+func replayFile(path string, rec trace.Recorder) (trace.Counts, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return trace.Counts{}, err
 	}
 	defer f.Close()
 	r, err := trace.NewReader(f)
 	if err != nil {
-		return err
+		return trace.Counts{}, err
 	}
-	counts, err := r.Replay(trace.Discard)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d instructions, %d branches (%.1f CBRs/KI, %.1f%% taken)\n",
-		args[0], counts.Instructions, counts.Branches, counts.CBRsPerKI(),
-		100*float64(counts.TakenCount)/float64(counts.Branches))
-	return nil
+	return r.Replay(rec)
 }
 
 func replay(args []string) error {
@@ -125,24 +152,25 @@ func replay(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("replay: expected one trace file")
 	}
-	p, err := branchsim.NewPredictor(*pred)
+	m, err := replayMetrics(*pred, fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		return err
-	}
-	runner := sim.NewRunner(p, sim.WithCollisions(), sim.WithLabels(fs.Arg(0), "trace"))
-	if _, err := r.Replay(runner); err != nil {
-		return err
-	}
-	m := runner.Metrics()
 	fmt.Println(m.String())
 	return nil
+}
+
+// replayMetrics simulates predictor spec over the trace file at path, with
+// collision tracking. A sim.Runner is a block sink, so the trace replays
+// through the predictor's block kernel.
+func replayMetrics(spec, path string) (sim.Metrics, error) {
+	p, err := branchsim.NewPredictor(spec)
+	if err != nil {
+		return sim.Metrics{}, err
+	}
+	runner := sim.NewRunner(p, sim.WithCollisions(), sim.WithLabels(path, "trace"))
+	if _, err := replayFile(path, runner); err != nil {
+		return sim.Metrics{}, err
+	}
+	return runner.Metrics(), nil
 }

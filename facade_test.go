@@ -1,9 +1,6 @@
-// Equivalence tests for the options-first facade: Simulate must reproduce
-// the deprecated Run/RunContext/Profile wrappers bit for bit, and an
-// attached observer must journal what actually ran.
+// Tests for the options-first facade: the two ways of naming a predictor
+// agree, and an attached observer journals what actually ran.
 package branchsim_test
-
-//lint:file-ignore SA1019 this file deliberately exercises the deprecated API to prove Simulate equivalent
 
 import (
 	"bytes"
@@ -15,24 +12,25 @@ import (
 	"branchsim"
 )
 
-// TestSimulateMatchesDeprecatedRun runs the paper's five schemes through the
-// deprecated Run wrapper and through Simulate and demands identical Metrics,
-// counter for counter.
-func TestSimulateMatchesDeprecatedRun(t *testing.T) {
+// TestSimulatePredictorMatchesSpec runs the paper's five schemes once from
+// a predictor instance (WithPredictor) and once from its spec string
+// (WithPredictorSpec) and demands identical Metrics, counter for counter.
+func TestSimulatePredictorMatchesSpec(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"bimodal", "ghist", "gshare", "bimode", "2bcgskew"} {
 		spec := name + ":2KB"
 		t.Run(spec, func(t *testing.T) {
 			t.Parallel()
-			// Predictors are stateful: each path gets a fresh instance.
 			p, err := branchsim.NewPredictor(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := branchsim.Run(branchsim.RunConfig{
-				Workload: "compress", Input: branchsim.InputTest,
-				Predictor: p, TrackCollisions: true,
-			})
+			want, err := branchsim.Simulate(ctx,
+				branchsim.Workload("compress"),
+				branchsim.Input(branchsim.InputTest),
+				branchsim.WithPredictor(p),
+				branchsim.WithCollisions(),
+			)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,51 +44,7 @@ func TestSimulateMatchesDeprecatedRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			if d := want.Diff(got); d != "" {
-				t.Fatalf("Simulate diverges from Run: %s", d)
-			}
-		})
-	}
-}
-
-// TestSimulateMatchesDeprecatedProfile checks both Profile modes — bias-only
-// and predictor-accuracy — against the Simulate + WithProfileInto spelling.
-func TestSimulateMatchesDeprecatedProfile(t *testing.T) {
-	ctx := context.Background()
-	for _, spec := range []string{"", "gshare:2KB"} {
-		name := spec
-		if name == "" {
-			name = "bias-only"
-		}
-		t.Run(name, func(t *testing.T) {
-			wantDB, wantM, err := branchsim.Profile("compress", branchsim.InputTest, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			db := branchsim.NewProfileDB("compress", branchsim.InputTest)
-			opts := []branchsim.SimOption{
-				branchsim.Workload("compress"),
-				branchsim.Input(branchsim.InputTest),
-				branchsim.WithProfileInto(db),
-			}
-			if spec != "" {
-				opts = append(opts, branchsim.WithPredictorSpec(spec), branchsim.WithCollisions())
-			}
-			gotM, err := branchsim.Simulate(ctx, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := wantM.Diff(gotM); d != "" {
-				t.Fatalf("Simulate metrics diverge from Profile: %s", d)
-			}
-			if db.Len() != wantDB.Len() || db.DynamicBranches() != wantDB.DynamicBranches() ||
-				db.Instructions != wantDB.Instructions || db.Predictor != wantDB.Predictor {
-				t.Fatalf("profile DBs diverge: got len=%d dyn=%d instr=%d pred=%q, want len=%d dyn=%d instr=%d pred=%q",
-					db.Len(), db.DynamicBranches(), db.Instructions, db.Predictor,
-					wantDB.Len(), wantDB.DynamicBranches(), wantDB.Instructions, wantDB.Predictor)
-			}
-			// Per-branch agreement: identical profiles diverge nowhere.
-			if d := branchsim.Diverge(wantDB, db); d.CoverageStatic != 1 || d.FlipStatic != 0 {
-				t.Fatalf("per-branch divergence between Profile and Simulate: %+v", d)
+				t.Fatalf("WithPredictorSpec diverges from WithPredictor: %s", d)
 			}
 		})
 	}

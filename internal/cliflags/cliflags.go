@@ -50,11 +50,10 @@ func (t *Telemetry) Config() telemetry.Config {
 // Enabled reports whether any telemetry feature was requested.
 func (t *Telemetry) Enabled() bool { return t.Config().Enabled() }
 
-// Replay is the capture-once replay engine flag group: -workers, -no-replay,
+// Replay is the capture-once replay engine flag group: -workers,
 // -no-batch, -replay-mem, -replay-spill, -verify-chunks, -quarantine-dir.
 type Replay struct {
 	Workers       int
-	NoReplay      bool
 	NoBatch       bool
 	MemMB         int
 	SpillDir      string
@@ -65,7 +64,6 @@ type Replay struct {
 // Register binds the replay flags to fs.
 func (r *Replay) Register(fs *flag.FlagSet) {
 	fs.IntVar(&r.Workers, "workers", runtime.GOMAXPROCS(0), "concurrent trace replays in the capture-once engine")
-	fs.BoolVar(&r.NoReplay, "no-replay", false, "execute the workload for every arm instead of capturing its branch stream once and replaying it")
 	fs.BoolVar(&r.NoBatch, "no-batch", false, "replay per-event through the scalar Predict/Update protocol instead of the batched block kernel (results are bit-identical; this is an escape hatch and benchmarking baseline)")
 	fs.IntVar(&r.MemMB, "replay-mem", 512, "in-memory budget for captured traces, in MiB; beyond it chunks spill to disk (0 = unlimited)")
 	fs.StringVar(&r.SpillDir, "replay-spill", "", "directory for spilled trace chunks (default: the system temp directory)")
@@ -74,13 +72,9 @@ func (r *Replay) Register(fs *flag.FlagSet) {
 }
 
 // HarnessOptions builds the harness options the group selects: a configured
-// replay engine (unless -no-replay) whose diagnostics go through logf. The
-// returned cleanup releases the engine; call it after the harness is done
-// (safe to call always).
+// replay engine whose diagnostics go through logf. The returned cleanup
+// releases the engine; call it after the harness is done.
 func (r *Replay) HarnessOptions(logf func(format string, args ...any)) ([]experiment.HarnessOption, func()) {
-	if r.NoReplay {
-		return nil, func() {}
-	}
 	ropts := []replay.Option{
 		replay.WithVerify(r.VerifyChunks),
 		replay.WithBatch(!r.NoBatch),

@@ -10,11 +10,12 @@
 // after it; a bounded worker pool caps how many replays decode at once.
 //
 // Memory is bounded: once the engine's budget of in-memory encoded bytes is
-// exhausted, further chunks spill to a temp file in internal/trace's
-// version-3 (checksummed framed-chunk) file format, and replay cursors read
-// them back with ReadAt. Because every chunk is self-contained, a spill
-// file (or a full export via Trace.WriteTo) is itself a valid trace file
-// for trace.NewReader.
+// exhausted, further chunks spill to a temp file written through
+// trace.FileWriter, and replay cursors read them back with ReadAt at the
+// payload offsets it reports. Because every chunk is self-contained, a
+// spill file (or a full export via Trace.WriteTo) is itself a valid trace
+// file for trace.NewReader — byte for byte what trace.Writer records from
+// the same stream, since both seal chunks at trace.ChunkTarget.
 //
 // Durability is policy, not best-effort: every sealed chunk carries its
 // capture-time CRC32C, verified (by default) on every replay. A chunk that
@@ -33,6 +34,7 @@
 package replay
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -44,12 +46,6 @@ import (
 	"branchsim/internal/fsx"
 	"branchsim/internal/trace"
 )
-
-// chunkTarget is the seal threshold for one encoded chunk. At roughly two
-// to three bytes per event this is ~16k–32k branches — the same order as
-// the simulator's cancellation cadence, so a cancelled replay stops fast,
-// while the per-chunk synchronization stays invisible in the event loop.
-const chunkTarget = 64 << 10
 
 // ErrCaptureFailed reports that the goroutine recording a shared trace
 // failed before sealing it. Replayers receiving it (wrapped around the
@@ -117,7 +113,7 @@ type Trace struct {
 
 	// capture-side state, touched only by the capturing goroutine
 	spill       fsx.File
-	spillSize   int64
+	spillW      *trace.FileWriter
 	spillBroken bool
 
 	mu          sync.Mutex
@@ -170,7 +166,7 @@ func (c *captureRec) Branch(pc uint64, taken bool) {
 		c.dec.opsSum += c.pending
 		c.pending = 0
 	}
-	if c.w.Len() >= chunkTarget {
+	if c.w.Len() >= trace.ChunkTarget {
 		c.cut()
 	}
 }
@@ -209,7 +205,7 @@ func (c *captureRec) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
 			c.w.Ops(o)
 		}
 		c.w.Branch(pc, taken[i])
-		if c.w.Len() >= chunkTarget {
+		if c.w.Len() >= trace.ChunkTarget {
 			c.bulkDecoded(pcs[start:i+1], taken[start:i+1], ops[start:i+1])
 			start = i + 1
 			c.cut()
@@ -320,11 +316,10 @@ func (t *Trace) seal(data []byte, d *decoded) {
 	t.mu.Unlock()
 }
 
-// writeSpill appends one framed chunk to the spill file, creating it (with
-// the version-3 trace header) on first use, and returns the offset of the
-// chunk's payload — the frame header before it makes the file a valid,
-// verifiable trace file end to end, while ReadAt cursors address the bare
-// payload.
+// writeSpill appends one framed chunk to the spill file, creating it on
+// first use, and returns the offset of the chunk's payload — the file is a
+// valid, verifiable trace file end to end, while ReadAt cursors address the
+// bare payload.
 func (t *Trace) writeSpill(data []byte, crc uint32) (int64, error) {
 	fs := t.e.fs
 	if t.spill == nil {
@@ -335,24 +330,15 @@ func (t *Trace) writeSpill(data []byte, crc uint32) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		hdr := trace.FramedFileHeader()
-		if _, err := f.Write(hdr); err != nil {
+		w, err := trace.NewFileWriter(f)
+		if err != nil {
 			f.Close()
 			fs.Remove(f.Name())
 			return 0, err
 		}
-		t.spill, t.spillSize = f, int64(len(hdr))
+		t.spill, t.spillW = f, w
 	}
-	frameHdr := trace.AppendFrameHeader(nil, len(data), crc)
-	if _, err := t.spill.Write(frameHdr); err != nil {
-		return 0, err
-	}
-	off := t.spillSize + int64(len(frameHdr))
-	if _, err := t.spill.Write(data); err != nil {
-		return 0, err
-	}
-	t.spillSize = off + int64(len(data))
-	return off, nil
+	return t.spillW.WriteChunk(data, crc)
 }
 
 // finish seals the final chunk and marks the capture complete. On the batch
@@ -432,14 +418,14 @@ func (t *Trace) quarantine(i int, data []byte, crc uint32, cause error) {
 		e.logef("replay: quarantine dir: %v", err)
 		return
 	}
-	// The evidence file is a valid version-3 trace file carrying the
-	// capture-time checksum over the corrupt bytes, so reading it back
-	// reproduces exactly the verification failure seen here.
-	body := trace.FramedFileHeader()
-	body = trace.AppendFrameHeader(body, len(data), crc)
-	body = append(body, data...)
+	// The evidence file is a valid trace file carrying the capture-time
+	// checksum over the corrupt bytes, so reading it back reproduces
+	// exactly the verification failure seen here.
+	var body bytes.Buffer
+	w, _ := trace.NewFileWriter(&body) // a bytes.Buffer write cannot fail
+	w.WriteChunk(data, crc)
 	name := filepath.Join(e.quarDir, fmt.Sprintf("chunk-%06d.btrc", e.quarSeq.Add(1)))
-	if err := e.fs.WriteFile(name, body, 0o644); err != nil {
+	if err := e.fs.WriteFile(name, body.Bytes(), 0o644); err != nil {
 		e.logef("replay: writing quarantined chunk: %v", err)
 	}
 }
@@ -697,44 +683,31 @@ func (t *Trace) Replay(ctx context.Context, rec trace.Recorder) (c trace.Counts,
 	}
 }
 
-// WriteTo exports the captured stream as a version-3 (checksummed framed
-// chunk) trace file readable by trace.NewReader, waiting for the capture to
-// finish if it is still running. Chunks are verified before export when the
-// engine verifies, so a corrupt spill surfaces here as an error, never as a
-// silently poisoned file. It implements io.WriterTo.
+// WriteTo exports the captured stream as a trace file readable by
+// trace.NewReader, waiting for the capture to finish if it is still
+// running. Chunks are verified before export when the engine verifies, so a
+// corrupt spill surfaces here as an error, never as a silently poisoned
+// file. It implements io.WriterTo.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	t.retain()
 	defer t.release()
-	var n int64
-	k, err := w.Write(trace.FramedFileHeader())
-	n += int64(k)
+	fw, err := trace.NewFileWriter(w)
 	if err != nil {
-		return n, err
+		return 0, err
 	}
-	var buf, hdr []byte
+	var buf []byte
 	for i := 0; ; i++ {
 		data, crc, _, ended, err := t.chunkAt(nil, i, &buf)
-		if err != nil {
-			return n, err
-		}
-		if ended {
-			return n, nil
+		if err != nil || ended {
+			return fw.Size(), err
 		}
 		if t.e.verify {
 			if verr := trace.Verify(data, crc); verr != nil {
-				return n, verr
+				return fw.Size(), verr
 			}
 		}
-		hdr = trace.AppendFrameHeader(hdr[:0], len(data), crc)
-		k, err := w.Write(hdr)
-		n += int64(k)
-		if err != nil {
-			return n, err
-		}
-		k, err = w.Write(data)
-		n += int64(k)
-		if err != nil {
-			return n, err
+		if _, err := fw.WriteChunk(data, crc); err != nil {
+			return fw.Size(), err
 		}
 	}
 }

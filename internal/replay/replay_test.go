@@ -266,8 +266,8 @@ func TestSpillToDisk(t *testing.T) {
 	}
 }
 
-// TestWriteTo proves a captured trace exports as a version-2 trace file
-// that trace.NewReader replays identically — with and without spilling.
+// TestWriteTo proves a captured trace exports as a trace file that
+// trace.NewReader replays identically — with and without spilling.
 func TestWriteTo(t *testing.T) {
 	for _, budget := range []int64{0, 1} {
 		name := "in-memory"
@@ -300,6 +300,77 @@ func TestWriteTo(t *testing.T) {
 			}
 			sameStream(t, "exported file", &got, streamBuffer())
 		})
+	}
+}
+
+// TestWriteToMatchesTraceWriter pins the one file layout: exporting a
+// capture writes exactly the bytes trace.Writer records from the same
+// stream — same chunk cuts, same frames — for a workload and for a
+// multi-chunk synthetic stream, captured through the per-event tee and
+// through the batch kernel, held in memory and spilled.
+func TestWriteToMatchesTraceWriter(t *testing.T) {
+	streams := []struct {
+		name    string
+		produce func(trace.Recorder) error
+	}{
+		{"compress-test", func(rec trace.Recorder) error {
+			return workload.Run(context.Background(), "compress", workload.InputTest, rec)
+		}},
+		{"multi-chunk", streamProduce(nil)},
+	}
+	capturers := []struct {
+		name string
+		new  func() (trace.Recorder, error)
+	}{
+		{"tee", func() (trace.Recorder, error) { return trace.Discard, nil }},
+		{"batch", func() (trace.Recorder, error) { return newArmRunner(t, "gshare:8KB", "w", "i"), nil }},
+	}
+	for _, st := range streams {
+		name, produce := st.name, st.produce
+		var want bytes.Buffer
+		w, err := trace.NewWriter(&want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := produce(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if name == "multi-chunk" && want.Len() < 2*trace.ChunkTarget {
+			t.Fatalf("multi-chunk stream is only %d bytes", want.Len())
+		}
+		for _, c := range capturers {
+			for _, budget := range []int64{0, 1} {
+				mode := "in-memory"
+				if budget > 0 {
+					mode = "spilled"
+				}
+				t.Run(name+"/"+c.name+"/"+mode, func(t *testing.T) {
+					e := replay.New(2, budget, t.TempDir())
+					defer e.Close()
+					if _, err := e.Run(context.Background(), "k", produce, c.new); err != nil {
+						t.Fatal(err)
+					}
+					tr, ok := e.Trace("k")
+					if !ok {
+						t.Fatal("trace not cached after capture")
+					}
+					var got bytes.Buffer
+					n, err := tr.WriteTo(&got)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n != int64(got.Len()) {
+						t.Errorf("WriteTo reported %d bytes, wrote %d", n, got.Len())
+					}
+					if !bytes.Equal(got.Bytes(), want.Bytes()) {
+						t.Fatalf("export (%d bytes) differs from trace.Writer output (%d bytes)", got.Len(), want.Len())
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// Chunk encoding (the trace format's version-2 records).
+// Chunk encoding: the records of one trace file frame (file.go).
 //
 // A chunk is a byte slice holding a run of uvarint records:
 //
@@ -14,6 +14,9 @@ import (
 //	v ≥ 2       — a delta branch: w = v-2, taken = w&1,
 //	              pc = previous branch PC + unzigzag(w>>1)
 //
+// Delta encoding keeps chunks small because branch addresses are
+// clustered: the hot loops of a workload revisit nearby PCs.
+//
 // Chunks are self-contained: a ChunkWriter emits the first branch of every
 // chunk in absolute form, so a chunk decodes without the PC state of its
 // predecessors, replay cursors can pick up a stream mid-way, and any
@@ -21,9 +24,7 @@ import (
 // itself a valid record stream. The absolute form doubles as the overflow
 // escape: a delta whose zig-zag needs more than 62 bits (only adversarial
 // PC walks) is stored absolutely, which keeps the encoding lossless over
-// the full 64-bit address space, unlike the version-1 file records that
-// truncate PCs to 60 bits to pack delta, outcome and discriminator into a
-// single varint.
+// the full 64-bit address space.
 //
 // Consecutive Ops calls are coalesced into one record. Recorders only ever
 // sum instruction counts between branches, so every downstream total is
@@ -35,6 +36,10 @@ const (
 	// values ≥ chunkDelta encode a delta branch
 	chunkDelta = 2
 )
+
+func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // maxDeltaZig is the largest zig-zagged delta that still fits a delta
 // branch record; anything larger is stored in absolute form.

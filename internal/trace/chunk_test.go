@@ -147,44 +147,46 @@ func TestDecodeChunkMalformed(t *testing.T) {
 	}
 }
 
-// TestChunkFileReader proves the spill/export framing: a ChunkFileHeader
-// followed by concatenated chunks is a trace file NewReader replays.
+// TestChunkFileReader proves both of Reader's decode paths: a file of
+// chunks replays the same stream into a per-event Recorder and, block-wise,
+// into a BlockSink, with the same totals.
 func TestChunkFileReader(t *testing.T) {
 	var w ChunkWriter
-	var want eventLog
+	var want flatRecorder
 	rec := Tee(&want, &w)
-	rec.Branch(0x8000, true)
-	rec.Ops(12)
-	rec.Branch(0x8004, false)
-	first := w.Cut()
-	rec.Ops(3)
-	rec.Branch(1<<62, true) // large jump, still lossless in version 2
-	second := w.Cut()
-
-	var buf bytes.Buffer
-	buf.Write(ChunkFileHeader())
-	buf.Write(first)
-	buf.Write(second)
-
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got eventLog
-	if _, err := r.Replay(&got); err != nil {
-		t.Fatal(err)
-	}
-	wantBr, gotBr := want.branches(), got.branches()
-	if len(wantBr) != len(gotBr) {
-		t.Fatalf("branch count: got %d, want %d", len(gotBr), len(wantBr))
-	}
-	for i := range wantBr {
-		if wantBr[i] != gotBr[i] {
-			t.Errorf("branch %d: got %+v, want %+v", i, gotBr[i], wantBr[i])
+	var chunks [][]byte
+	for _, in := range blockTestStreams() {
+		for _, e := range in {
+			if e.br {
+				rec.Branch(e.pc, e.taken)
+			} else {
+				rec.Ops(e.ops)
+			}
+		}
+		if c := w.Cut(); c != nil {
+			chunks = append(chunks, c)
 		}
 	}
-	if got.totals() != want.totals() {
-		t.Errorf("totals: got %+v, want %+v", got.totals(), want.totals())
+	file, _ := framedFile(t, chunks...)
+
+	replay := func(rec Recorder) Counts {
+		r, err := NewReader(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := r.Replay(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	var perEvent flatRecorder
+	var blocks blockRecorder
+	eventCounts, blockCounts := replay(&perEvent), replay(&blocks)
+	sameStream(t, "per-event", perEvent.stream(), want.stream())
+	sameStream(t, "block-wise", blocks.stream(), want.stream())
+	if eventCounts != blockCounts || eventCounts.Branches != uint64(len(want.flat.pcs)) {
+		t.Fatalf("counts: per-event %+v, block-wise %+v, want %d branches", eventCounts, blockCounts, len(want.flat.pcs))
 	}
 }
 
@@ -205,8 +207,8 @@ func fuzzEvents(data []byte) []event {
 }
 
 // FuzzChunkRoundTrip proves encode→decode is lossless for arbitrary
-// (PC, taken) sequences — including PCs above 2^60, which the version-1
-// file format would truncate — across chunk cuts at arbitrary points.
+// (PC, taken) sequences — including PCs above 2^60 — across chunk cuts at
+// arbitrary points.
 func FuzzChunkRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	seed := make([]byte, 0, 64)
@@ -300,11 +302,11 @@ func FuzzDecodeChunk(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFramedChunk is the framed decoder's corruption contract: for an
-// arbitrary event stream, flipping any single bit of its encoded frame must
-// yield an error wrapping ErrCorrupt — never a panic, and never a silently
-// different record stream. With no flip, decode must reproduce the stream
-// exactly.
+// FuzzDecodeFramedChunk is the file format's corruption contract: for an
+// arbitrary event stream written as a one-chunk file, flipping any single
+// bit must yield an error — ErrBadMagic in the header, ErrCorrupt in the
+// frame — never a panic, and never a single event of the corrupt chunk.
+// With no flip, the reader must reproduce the stream exactly.
 func FuzzDecodeFramedChunk(f *testing.F) {
 	f.Add([]byte{}, uint32(0))
 	seed := make([]byte, 0, 64)
@@ -338,13 +340,16 @@ func FuzzDecodeFramedChunk(f *testing.F) {
 				w.Ops(e.ops)
 			}
 		}
-		payload := w.Cut()
-		frame := AppendFrame(nil, payload)
+		var chunks [][]byte
+		if c := w.Cut(); c != nil {
+			chunks = append(chunks, c)
+		}
+		file, _ := framedFile(t, chunks...)
 
 		// Pristine decode reproduces the stream.
-		var got eventLog
-		if err := DecodeFramedChunk(frame, &got); err != nil {
-			t.Fatalf("pristine frame: %v", err)
+		got, err := replayFile(file)
+		if err != nil {
+			t.Fatalf("pristine file: %v", err)
 		}
 		want := &eventLog{events: in}
 		wantBr, gotBr := want.branches(), got.branches()
@@ -363,12 +368,19 @@ func FuzzDecodeFramedChunk(f *testing.F) {
 		// Any single-bit flip is detected: CRC32C catches all 1-bit errors,
 		// and a flip inside the length varint either breaks the frame bound
 		// or the checksum.
-		bit := int(flip) % (len(frame) * 8)
-		mutated := append([]byte(nil), frame...)
+		bit := int(flip) % (len(file) * 8)
+		mutated := append([]byte(nil), file...)
 		mutated[bit/8] ^= 1 << (bit % 8)
-		var rec Counts
-		if err := DecodeFramedChunk(mutated, &rec); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("bit flip at %d: err = %v, want ErrCorrupt", bit, err)
+		wantErr := ErrCorrupt
+		if bit < len(fileMagic)*8 {
+			wantErr = ErrBadMagic
+		}
+		leaked, err := replayFile(mutated)
+		if !errors.Is(err, wantErr) {
+			t.Fatalf("bit flip at %d: err = %v, want %v", bit, err, wantErr)
+		}
+		if len(leaked.events) != 0 {
+			t.Fatalf("bit flip at %d delivered %d events of the corrupt chunk", bit, len(leaked.events))
 		}
 	})
 }

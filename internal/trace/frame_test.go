@@ -21,63 +21,126 @@ func testChunk(t *testing.T) []byte {
 	return c
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	payload := testChunk(t)
-	frame := AppendFrame(nil, payload)
-	got, rest, err := DecodeFrame(frame)
+// framedFile writes chunks through a FileWriter and returns the file and
+// each chunk's reported payload offset.
+func framedFile(t *testing.T, chunks ...[]byte) ([]byte, []int64) {
+	t.Helper()
+	var buf bytes.Buffer
+	fw, err := NewFileWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload = %x, want %x", got, payload)
+	var offs []int64
+	for _, c := range chunks {
+		off, err := fw.WriteChunk(c, Checksum(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs = append(offs, off)
 	}
-	if len(rest) != 0 {
-		t.Fatalf("rest = %d bytes, want 0", len(rest))
+	if fw.Size() != int64(buf.Len()) {
+		t.Fatalf("Size = %d, file has %d bytes", fw.Size(), buf.Len())
+	}
+	return buf.Bytes(), offs
+}
+
+// replayFile reads a trace file into an event log.
+func replayFile(data []byte) (*eventLog, error) {
+	var got eventLog
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return &got, err
+	}
+	_, err = r.Replay(&got)
+	return &got, err
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	payload := testChunk(t)
+	file, offs := framedFile(t, payload, payload)
+	if !bytes.HasPrefix(file, []byte("BTRC3\n")) {
+		t.Fatalf("file starts %q, want the BTRC3 header", file[:6])
+	}
+	// The reported offsets address the bare payloads, as spill cursors
+	// read them with ReadAt.
+	for i, off := range offs {
+		if got := file[off : off+int64(len(payload))]; !bytes.Equal(got, payload) {
+			t.Fatalf("payload %d at offset %d = %x, want %x", i, off, got, payload)
+		}
+	}
+	if end := offs[1] + int64(len(payload)); end != int64(len(file)) {
+		t.Fatalf("last payload ends at %d, file has %d bytes", end, len(file))
 	}
 	// Two concatenated frames decode in sequence.
-	two := AppendFrame(AppendFrame(nil, payload), payload)
-	first, rest, err := DecodeFrame(two)
-	if err != nil || !bytes.Equal(first, payload) {
-		t.Fatalf("first frame: %v", err)
+	got, err := replayFile(file)
+	if err != nil {
+		t.Fatal(err)
 	}
-	second, rest, err := DecodeFrame(rest)
-	if err != nil || !bytes.Equal(second, payload) || len(rest) != 0 {
-		t.Fatalf("second frame: %v (rest %d)", err, len(rest))
+	var want eventLog
+	for range offs {
+		if err := DecodeChunk(payload, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(got.branches()) != 6 || got.totals() != want.totals() {
+		t.Fatalf("replayed %d branches, totals %+v; want 6, %+v", len(got.branches()), got.totals(), want.totals())
 	}
 }
 
+// TestFrameDetectsEverySingleBitFlip flips every bit of a one-chunk file:
+// a flip in the header is a bad magic, a flip in the frame is corruption,
+// and either way not one event of the chunk is delivered.
 func TestFrameDetectsEverySingleBitFlip(t *testing.T) {
-	payload := testChunk(t)
-	frame := AppendFrame(nil, payload)
-	var rec Counts
-	if err := DecodeFramedChunk(frame, &rec); err != nil {
-		t.Fatalf("pristine frame: %v", err)
+	file, _ := framedFile(t, testChunk(t))
+	if _, err := replayFile(file); err != nil {
+		t.Fatalf("pristine file: %v", err)
 	}
-	for bit := 0; bit < len(frame)*8; bit++ {
-		mutated := append([]byte(nil), frame...)
+	for bit := 0; bit < len(file)*8; bit++ {
+		mutated := append([]byte(nil), file...)
 		mutated[bit/8] ^= 1 << (bit % 8)
-		var rec Counts
-		err := DecodeFramedChunk(mutated, &rec)
-		if err == nil {
-			t.Fatalf("bit flip at %d went undetected", bit)
+		got, err := replayFile(mutated)
+		want := ErrCorrupt
+		if bit < len(fileMagic)*8 {
+			want = ErrBadMagic
 		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("bit flip at %d: err = %v, want ErrCorrupt", bit, err)
+		if !errors.Is(err, want) {
+			t.Fatalf("bit flip at %d: err = %v, want %v", bit, err, want)
+		}
+		if len(got.events) != 0 {
+			t.Fatalf("bit flip at %d delivered %d events of the corrupt chunk", bit, len(got.events))
 		}
 	}
 }
 
+// TestFrameTornTail cuts a two-chunk file at every byte: a cut between
+// frames is a shorter valid file, a cut inside one is ErrCorrupt after only
+// the whole frames before it, and so are bytes trailing the last frame.
 func TestFrameTornTail(t *testing.T) {
 	payload := testChunk(t)
-	frame := AppendFrame(nil, payload)
-	for cut := 1; cut < len(frame); cut++ {
-		var rec Counts
-		err := DecodeFramedChunk(frame[:cut], &rec)
-		if err == nil {
-			t.Fatalf("torn frame of %d/%d bytes accepted", cut, len(frame))
+	file, offs := framedFile(t, payload, payload)
+	firstEnd := int(offs[0]) + len(payload)
+	for cut := len(fileMagic) + 1; cut < len(file); cut++ {
+		got, err := replayFile(file[:cut])
+		if cut == firstEnd {
+			if err != nil || len(got.branches()) != 3 {
+				t.Fatalf("cut between frames: %d branches, err %v; want the first chunk's 3", len(got.branches()), err)
+			}
+			continue
 		}
 		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("torn frame of %d bytes: err = %v, want ErrCorrupt", cut, err)
+			t.Fatalf("torn file of %d/%d bytes: err = %v, want ErrCorrupt", cut, len(file), err)
+		}
+		want := 0
+		if cut > firstEnd {
+			want = 3
+		}
+		if n := len(got.branches()); n != want {
+			t.Fatalf("torn file of %d bytes delivered %d branches, want %d", cut, n, want)
+		}
+	}
+	for _, tail := range [][]byte{{0x00}, {0x00, 0, 0, 0, 0}, {0x05, 1, 2}, file[len(fileMagic) : firstEnd-1]} {
+		if _, err := replayFile(append(append([]byte(nil), file...), tail...)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("trailing bytes %x: err = %v, want ErrCorrupt", tail, err)
 		}
 	}
 }
@@ -105,10 +168,10 @@ func TestMalformedChunkIsCorrupt(t *testing.T) {
 	}
 }
 
-// TestFramedFileReader proves the version-3 file framing: a FramedFileHeader
-// followed by concatenated frames replays identically to the raw stream,
-// and a flipped bit anywhere in a frame surfaces as ErrCorrupt with zero
-// events delivered from the corrupt chunk.
+// TestFramedFileReader proves the file framing: a FileWriter's frames
+// replay identically to the raw stream, and a flipped bit anywhere in a
+// frame surfaces as ErrCorrupt with zero events delivered from the corrupt
+// chunk.
 func TestFramedFileReader(t *testing.T) {
 	var w ChunkWriter
 	var want eventLog
@@ -121,16 +184,9 @@ func TestFramedFileReader(t *testing.T) {
 	rec.Branch(1<<62, true)
 	second := w.Cut()
 
-	file := FramedFileHeader()
-	file = AppendFrame(file, first)
-	file = AppendFrame(file, second)
-
-	r, err := NewReader(bytes.NewReader(file))
+	file, offs := framedFile(t, first, second)
+	got, err := replayFile(file)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var got eventLog
-	if _, err := r.Replay(&got); err != nil {
 		t.Fatal(err)
 	}
 	wantBr, gotBr := want.branches(), got.branches()
@@ -148,16 +204,9 @@ func TestFramedFileReader(t *testing.T) {
 
 	// Corrupt one payload byte of the second frame: the first chunk's
 	// events replay, then the reader reports corruption.
-	headerLen := len(FramedFileHeader())
-	firstFrame := AppendFrame(nil, first)
 	mutated := append([]byte(nil), file...)
-	mutated[headerLen+len(firstFrame)+FrameOverhead(len(second))] ^= 0x01
-	r, err = NewReader(bytes.NewReader(mutated))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var partial eventLog
-	_, err = r.Replay(&partial)
+	mutated[offs[1]] ^= 0x01
+	partial, err := replayFile(mutated)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt frame: err = %v, want ErrCorrupt", err)
 	}
@@ -166,11 +215,7 @@ func TestFramedFileReader(t *testing.T) {
 	}
 
 	// Torn tail: truncating the file mid-frame is corruption, not EOF.
-	r, err = NewReader(bytes.NewReader(file[:len(file)-3]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Replay(Discard); !errors.Is(err, ErrCorrupt) {
+	if _, err := replayFile(file[:len(file)-3]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn file: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -2,12 +2,13 @@ package trace
 
 import (
 	"bytes"
-	"io"
+	"math"
 	"testing"
 )
 
-// FuzzReaderRobustness feeds arbitrary bytes to the trace reader: it must
-// either reject them or terminate cleanly, never panic or loop.
+// FuzzReaderRobustness feeds arbitrary bytes to the trace reader, through
+// both of its decode paths: it must either reject them or terminate
+// cleanly, never panic or loop.
 func FuzzReaderRobustness(f *testing.F) {
 	// seed with a valid trace
 	var buf bytes.Buffer
@@ -16,49 +17,59 @@ func FuzzReaderRobustness(f *testing.F) {
 	w.Ops(12)
 	w.Branch(0x1200_0010, false)
 	w.Flush()
-	f.Add(buf.Bytes())
-	f.Add([]byte("BTRC1\n"))
-	f.Add([]byte("BTRC1\n\x00"))
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add([]byte("BTRC3\n"))
+	f.Add([]byte("BTRC3\n\x00"))
 	f.Add([]byte("garbage"))
-	// version-2 (chunk-encoded) headers, valid and truncated
-	var cw ChunkWriter
-	cw.Branch(0x1200_0000, true)
-	cw.Ops(3)
-	f.Add(append(ChunkFileHeader(), cw.Cut()...))
-	f.Add([]byte("BTRC2\n"))
-	f.Add([]byte("BTRC2\n\x01"))
+	f.Add(valid[:len(valid)-2]) // torn tail
+	// retired versions, rejected at the header
+	f.Add([]byte("BTRC1\n\x03\x00\x05"))
+	f.Add([]byte("BTRC2\n\x01\x10\x01"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// bound the number of records to keep the fuzzer fast
-		for i := 0; i < 1_000_000; i++ {
-			_, _, _, _, err := r.Next()
-			if err == io.EOF || err != nil {
+		for _, rec := range []Recorder{&Counts{}, &blockRecorder{}} {
+			r, err := NewReader(bytes.NewReader(data))
+			if err != nil {
 				return
 			}
+			r.Replay(rec)
 		}
 	})
 }
 
-// FuzzRoundTrip checks write→read identity over arbitrary event streams.
-func FuzzRoundTrip(f *testing.F) {
-	f.Add(uint64(0x1200_0000), true, uint64(3))
-	f.Add(uint64(0), false, uint64(0))
-	f.Add(uint64(1)<<59, true, uint64(1)<<40)
+// blockRecorder is a flatRecorder that is also a BlockSink, so Replay
+// feeds it through the block decoder; it flattens blocks the same way.
+type blockRecorder struct{ flatRecorder }
 
-	f.Fuzz(func(t *testing.T, pc uint64, taken bool, ops uint64) {
-		pc &= pcMask
+func (b *blockRecorder) RunBlock(pcs []uint64, taken []bool, ops []uint64) {
+	for i, pc := range pcs {
+		b.Ops(ops[i])
+		b.Branch(pc, taken[i])
+	}
+}
+
+// FuzzRoundTrip checks write→read identity over arbitrary full 64-bit
+// addresses: the pattern branch, ops, branch repeats reps+1 times at rising
+// addresses, so large reps span several chunks.
+func FuzzRoundTrip(f *testing.F) {
+	f.Add(uint64(0x1200_0000), true, uint64(3), uint16(0))
+	f.Add(uint64(0), false, uint64(0), uint16(0))
+	f.Add(uint64(math.MaxUint64-3), true, uint64(1)<<40, uint16(40_000))
+
+	f.Fuzz(func(t *testing.T, pc uint64, taken bool, ops uint64, reps uint16) {
 		var buf bytes.Buffer
 		w, err := NewWriter(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Branch(pc, taken)
-		w.Ops(ops)
-		w.Branch(pc+4, !taken)
+		var want Buffer
+		rec := Tee(w, &want)
+		for i := uint64(0); i <= uint64(reps); i++ {
+			rec.Branch(pc+8*i, taken)
+			rec.Ops(ops)
+			rec.Branch(pc+8*i+4, !taken)
+		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -71,14 +82,16 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Events) != 2 || got.Events[0].PC != pc || got.Events[0].Taken != taken {
-			t.Fatalf("event 0 = %+v, want pc %#x taken %v", got.Events, pc, taken)
+		if len(got.Events) != len(want.Events) {
+			t.Fatalf("replayed %d events, want %d", len(got.Events), len(want.Events))
 		}
-		if got.Events[1].PC != (pc+4)&pcMask || got.Events[1].Taken == taken {
-			t.Fatalf("event 1 = %+v", got.Events[1])
+		for i := range want.Events {
+			if got.Events[i] != want.Events[i] {
+				t.Fatalf("event %d = %+v, want %+v", i, got.Events[i], want.Events[i])
+			}
 		}
-		if counts.Instructions != 2+ops {
-			t.Fatalf("instructions = %d, want %d", counts.Instructions, 2+ops)
+		if counts != want.Counts || got.Counts != want.Counts {
+			t.Fatalf("counts = %+v (recorder %+v), want %+v", counts, got.Counts, want.Counts)
 		}
 	})
 }

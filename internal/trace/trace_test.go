@@ -2,8 +2,9 @@ package trace
 
 import (
 	"bytes"
-	"io"
+	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -77,7 +78,10 @@ func TestZigzagProperty(t *testing.T) {
 	}
 }
 
-func roundTrip(t *testing.T, events []Event, ops []uint64) (Counts, *Buffer) {
+// roundTrip writes events (each followed by ops[i] instructions) to a
+// trace file and reads it back, returning the replayed stream and the
+// file's size in bytes.
+func roundTrip(t *testing.T, events []Event, ops []uint64) (Counts, *Buffer, int) {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -93,6 +97,7 @@ func roundTrip(t *testing.T, events []Event, ops []uint64) (Counts, *Buffer) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	size := buf.Len()
 	r, err := NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +107,7 @@ func roundTrip(t *testing.T, events []Event, ops []uint64) (Counts, *Buffer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return counts, &got
+	return counts, &got, size
 }
 
 func TestFileRoundTrip(t *testing.T) {
@@ -113,7 +118,7 @@ func TestFileRoundTrip(t *testing.T) {
 		{0xffff_ffff_fffc, true}, // big jump
 		{0x10, false},            // big jump back
 	}
-	_, got := roundTrip(t, events, []uint64{3, 0, 1 << 33})
+	_, got, _ := roundTrip(t, events, []uint64{3, 0, 1 << 33})
 	if len(got.Events) != len(events) {
 		t.Fatalf("replayed %d events, want %d", len(got.Events), len(events))
 	}
@@ -127,29 +132,31 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileRoundTripProperty round-trips random full 64-bit addresses. The
+// streams run up to 65535 events of ~10 bytes each, so most span several
+// chunks; the fixed case at the end always does.
 func TestFileRoundTripProperty(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
+	size := 0
+	f := func(seed uint64, n uint16) bool {
 		rng := xrand.New(seed)
 		events := make([]Event, int(n))
 		var ops []uint64
 		for i := range events {
-			// the format stores addresses modulo 2^60
-			events[i] = Event{PC: rng.Uint64() & (1<<60 - 1) &^ 3, Taken: rng.Bool(0.5)}
+			events[i] = Event{PC: rng.Uint64(), Taken: rng.Bool(0.5)}
 			ops = append(ops, uint64(rng.Intn(100)))
 		}
-		_, got := roundTrip(t, events, ops)
-		if len(got.Events) != len(events) {
-			return false
-		}
-		for i := range events {
-			if got.Events[i] != events[i] {
-				return false
-			}
-		}
-		return true
+		var got *Buffer
+		_, got, size = roundTrip(t, events, ops)
+		return slices.Equal(got.Events, events)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+	if !f(1, 40_000) {
+		t.Fatal("multi-chunk stream does not round-trip")
+	}
+	if size < 2*ChunkTarget {
+		t.Fatalf("multi-chunk case wrote %d bytes, want at least two %d-byte chunks", size, ChunkTarget)
 	}
 }
 
@@ -160,6 +167,18 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// TestReaderRejectsRetiredVersions pins that files of the two retired
+// versions are refused with a bad-magic error telling the user to
+// re-record, whatever follows the header.
+func TestReaderRejectsRetiredVersions(t *testing.T) {
+	for _, head := range []string{"BTRC1\n", "BTRC2\n"} {
+		_, err := NewReader(strings.NewReader(head + "\x03\x00\x05"))
+		if !errors.Is(err, ErrBadMagic) || !strings.Contains(err.Error(), "re-record") {
+			t.Errorf("%q: err = %v, want ErrBadMagic asking to re-record", head, err)
+		}
+	}
+}
+
 func TestReaderShortHeader(t *testing.T) {
 	_, err := NewReader(strings.NewReader("BT"))
 	if err == nil {
@@ -167,24 +186,26 @@ func TestReaderShortHeader(t *testing.T) {
 	}
 }
 
+// TestReaderTruncatedOpsRecord frames a chunk ending in a bare ops marker
+// under a valid checksum: the records themselves are malformed.
 func TestReaderTruncatedOpsRecord(t *testing.T) {
+	var cw ChunkWriter
+	cw.Branch(0x10, true)
+	chunk := append(cw.Cut(), chunkOps)
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	fw, err := NewFileWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Branch(0x10, true)
-	if err := w.Flush(); err != nil {
+	if _, err := fw.WriteChunk(chunk, Checksum(chunk)); err != nil {
 		t.Fatal(err)
 	}
-	// append a bare ops marker with no count
-	buf.WriteByte(0)
 	r, err := NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Replay(Discard); err == nil {
-		t.Fatalf("truncated ops record accepted")
+	if _, err := r.Replay(Discard); !errors.Is(err, ErrMalformedChunk) {
+		t.Fatalf("truncated ops record: err = %v, want ErrMalformedChunk", err)
 	}
 }
 
@@ -196,8 +217,9 @@ func TestReaderCleanEOF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, err := r.Next(); err != io.EOF {
-		t.Fatalf("empty trace Next = %v, want io.EOF", err)
+	var got Buffer
+	if c, err := r.Replay(&got); err != nil || c != (Counts{}) || len(got.Events) != 0 {
+		t.Fatalf("empty trace Replay = %+v, %v; want zero counts and no error", c, err)
 	}
 }
 
@@ -206,8 +228,8 @@ func TestWriterSkipsZeroOps(t *testing.T) {
 	w, _ := NewWriter(&buf)
 	w.Ops(0)
 	w.Flush()
-	if buf.Len() != len("BTRC1\n") {
-		t.Fatalf("zero-ops record was written (%d bytes)", buf.Len())
+	if buf.String() != "BTRC3\n" {
+		t.Fatalf("zero-ops stream wrote %q, want the bare header", buf.Bytes())
 	}
 }
 

@@ -107,10 +107,7 @@ func WithTelemetry(cfg TelemetryConfig) SimOption {
 //
 // The run executes under ctx (nil means context.Background()): cancelling
 // it stops the run cooperatively, and a panicking predictor or workload is
-// returned as a *PanicError instead of crashing the process. Simulate
-// subsumes the deprecated Run, RunContext, Profile and ProfileContext
-// entry points; results are identical to theirs for equivalent
-// configurations.
+// returned as a *PanicError instead of crashing the process.
 func Simulate(ctx context.Context, opts ...SimOption) (Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
