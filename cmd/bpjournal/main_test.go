@@ -19,7 +19,7 @@ func writeJournal(t *testing.T, recs ...obs.ArmRecord) string {
 		t.Fatal(err)
 	}
 	for i := range recs {
-		if err := j.Record(&recs[i]); err != nil {
+		if err := j.Write(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func TestFollowJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Record(&obs.ArmRecord{Time: time.Now(), Kind: "run", Key: "r|a",
+	if err := j.Write(&obs.ArmRecord{Time: time.Now(), Kind: "run", Key: "r|a",
 		Source: obs.SourceComputed, Events: 10, WallNanos: int64(time.Millisecond)}); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFollowJournal(t *testing.T) {
 	go func() { done <- runFollow(ctx, path, time.Millisecond, false, 2) }()
 
 	// Append while the tail runs, including a failure and telemetry.
-	if err := j.Record(&obs.ArmRecord{Time: time.Now(), Kind: "run", Key: "r|b",
+	if err := j.Write(&obs.ArmRecord{Time: time.Now(), Kind: "run", Key: "r|b",
 		Source: obs.SourceComputed, WallNanos: int64(time.Millisecond), Error: "boom"}); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"branchsim"
+	"branchsim/internal/obs"
 )
 
 // TestSimulatePredictorMatchesSpec runs the paper's five schemes once from
@@ -129,6 +130,38 @@ func TestSimulateJournalsFailure(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Error == "" {
 		t.Fatalf("failed arm not journaled with its error: %+v", recs)
+	}
+}
+
+// TestSimulateJoinsCallerTrace: with a tracing observer, the simulate arm's
+// span is a child of the span the caller's context carries, not a new root.
+func TestSimulateJoinsCallerTrace(t *testing.T) {
+	sink := branchsim.NewObserver(obs.WithTracing())
+	sub := sink.Subscribe(64)
+	parent, ctx := sink.StartSpan(context.Background(), "request")
+	if _, err := branchsim.Simulate(ctx,
+		branchsim.Workload("compress"),
+		branchsim.Input(branchsim.InputTest),
+		branchsim.WithPredictorSpec("gshare:1KB"),
+		branchsim.WithObserver(sink),
+	); err != nil {
+		t.Fatal(err)
+	}
+	parent.End(nil)
+	if err := sink.Close(); err != nil { // closes sub.C() after the frames
+		t.Fatal(err)
+	}
+	var sims []*obs.SpanRecord
+	for line := range sub.C() {
+		if rec, err := obs.DecodeRecord(line); err == nil {
+			if sp, ok := rec.(*obs.SpanRecord); ok && sp.Name == "simulate" {
+				sims = append(sims, sp)
+			}
+		}
+	}
+	want := parent.Context()
+	if len(sims) != 1 || sims[0].TraceID != want.TraceID || sims[0].ParentID != want.SpanID {
+		t.Fatalf("simulate frames = %+v, want one child of %+v", sims, want)
 	}
 }
 

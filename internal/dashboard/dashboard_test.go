@@ -1,6 +1,7 @@
 package dashboard
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -209,7 +210,7 @@ func TestAttachFeedsFromLiveBus(t *testing.T) {
 	o := obs.New()
 	defer o.Close()
 	st, stop := Attach(o)
-	sp := o.StartArm("run", "arm-1")
+	sp, _ := o.StartArm(context.Background(), "run", "arm-1")
 	sp.SetLabels("loop", "small", "gshare:12", "")
 	sp.End(nil)
 	o.Publish(&obs.IntervalRecord{

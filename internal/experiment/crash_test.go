@@ -58,8 +58,7 @@ func TestCrashRecoveryKillMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := testHarness()
-		h.Checkpoint = ck
+		h := testHarness(WithCheckpoint(ck))
 		if _, errs := runMatrix(context.Background(), h, arms); errs[0] != nil || errs[1] != nil || errs[2] != nil {
 			t.Fatalf("counting sweep failed: %v", errs)
 		}
@@ -84,9 +83,7 @@ func TestCrashRecoveryKillMatrix(t *testing.T) {
 				OnCrash: cancel,
 			}
 			if ck, err := OpenCheckpointFS(dir, ffs); err == nil {
-				h := testHarness()
-				h.Checkpoint = ck
-				runMatrix(ctx, h, arms) // arm errors are the crash, expected
+				runMatrix(ctx, testHarness(WithCheckpoint(ck)), arms) // arm errors are the crash, expected
 			}
 			// An open that crashed is a death before any record landed;
 			// recovery starts from whatever the directory holds.
@@ -97,9 +94,7 @@ func TestCrashRecoveryKillMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopening checkpoint after crash: %v", err)
 			}
-			h := testHarness()
-			h.Checkpoint = ck
-			got, errs := runMatrix(context.Background(), h, arms)
+			got, errs := runMatrix(context.Background(), testHarness(WithCheckpoint(ck)), arms)
 			for i := range arms {
 				if errs[i] != nil {
 					t.Fatalf("arm %+v failed after crash at boundary %d: %v", arms[i], n, errs[i])

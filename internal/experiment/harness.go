@@ -49,50 +49,38 @@ type Harness struct {
 	// TrainInput is the profiling input for cross-training experiments
 	// (paper: "train").
 	TrainInput string
-	// Log, when non-nil, receives one line per uncached simulation.
-	//
-	// Deprecated: pass WithLogger to NewHarness.
-	Log io.Writer
-	// ArmTimeout, when positive, bounds each uncached simulation
-	// (profile or measurement run) with its own deadline.
-	//
-	// Deprecated: pass WithArmTimeout to NewHarness.
-	ArmTimeout time.Duration
-	// Retry bounds in-place re-attempts of transient arm failures.
-	//
-	// Deprecated: pass WithRetry to NewHarness.
-	Retry RetryPolicy
-	// Checkpoint, when non-nil, journals completed profiles and run
-	// metrics and consults the journal before simulating.
-	//
-	// Deprecated: pass WithCheckpoint to NewHarness.
-	Checkpoint *Checkpoint
-	// Lookup resolves workload names; nil means workload.Get. Tests
-	// substitute fault-injecting programs here.
-	//
-	// Deprecated: pass WithLookup to NewHarness.
-	Lookup func(name string) (workload.Program, error)
-	// NewPredictor builds predictors from specs; nil means predictor.New.
-	// Tests substitute fault-injecting predictors here.
-	//
-	// Deprecated: pass WithPredictorFactory to NewHarness.
-	NewPredictor func(spec string) (predictor.Predictor, error)
+	// log, when non-nil, receives one line per uncached simulation
+	// (WithLogger).
+	log io.Writer
+	// armTimeout, when positive, bounds each uncached simulation (profile
+	// or measurement run) with its own deadline (WithArmTimeout).
+	armTimeout time.Duration
+	// retry bounds in-place re-attempts of transient arm failures
+	// (WithRetry).
+	retry RetryPolicy
+	// checkpoint, when non-nil, journals completed profiles and run
+	// metrics and is consulted before simulating (WithCheckpoint).
+	checkpoint *Checkpoint
+	// lookup resolves workload names and newPredictor builds predictors
+	// from specs; setup defaults them to workload.Get and predictor.New.
+	// Fault-injection tests substitute them (WithLookup,
+	// WithPredictorFactory).
+	lookup       func(name string) (workload.Program, error)
+	newPredictor func(spec string) (predictor.Predictor, error)
 	// Replay, when non-nil, shares one instrumented execution per
 	// (workload, input) across uncached arms: the first arm to need a
 	// stream captures it while simulating, concurrent arms replay the
 	// capture instead of re-running the workload. Metrics are
 	// bit-identical to direct execution, and singleflight and checkpoint
 	// keys are unchanged, so attaching an engine never changes results —
-	// only how often workloads execute.
-	//
-	// Deprecated: pass WithReplay (or WithWorkers) to NewHarness.
+	// only how often workloads execute. It is set by WithReplay/WithWorkers.
 	Replay *replay.Engine
-	// Obs is the observability layer: when non-nil, every arm gets a
+	// obs is the observability layer: when non-nil, every arm gets a
 	// lifecycle span (phase timings, retries, cache-hit provenance, final
 	// metrics) journaled through it, and the harness's work counters are
 	// published to its registry. Nil disables observation at zero cost.
 	// Set it with WithObserver; observation never changes results.
-	Obs *obs.Observer
+	obs *obs.Observer
 
 	// workers / wantOwnedReplay / ownedReplay implement WithWorkers: a
 	// replay engine the harness creates and Close releases. noBatch
@@ -140,29 +128,20 @@ func (h *Harness) Stats() Stats {
 	}
 }
 
-// setup propagates configuration to the flight caches once, on first use.
+// setup propagates configuration to the flight caches and fills in the
+// default workload resolver and predictor builder, once, on first use.
 func (h *Harness) setup() {
 	h.once.Do(func() {
-		h.profiles.retry = h.Retry
-		h.hints.retry = h.Retry
-		h.runs.retry = h.Retry
+		h.profiles.retry = h.retry
+		h.hints.retry = h.retry
+		h.runs.retry = h.retry
+		if h.lookup == nil {
+			h.lookup = workload.Get
+		}
+		if h.newPredictor == nil {
+			h.newPredictor = predictor.New
+		}
 	})
-}
-
-// lookup resolves a workload name through the configured hook.
-func (h *Harness) lookup(name string) (workload.Program, error) {
-	if h.Lookup != nil {
-		return h.Lookup(name)
-	}
-	return workload.Get(name)
-}
-
-// newPredictor builds a predictor through the configured hook.
-func (h *Harness) newPredictor(spec string) (predictor.Predictor, error) {
-	if h.NewPredictor != nil {
-		return h.NewPredictor(spec)
-	}
-	return predictor.New(spec)
 }
 
 // feed drives one freshly built recorder with the branch stream of prog on
@@ -189,17 +168,15 @@ func (h *Harness) feed(ctx context.Context, span *obs.Span, prog workload.Progra
 	produce := func(r trace.Recorder) error {
 		// produce runs only in the capturing arm's goroutine: this arm is
 		// the one recording the shared stream.
-		if ts := span.Trace(); ts != nil {
-			h.Obs.NoteSpanKey(capKey, ts.Context())
-		}
+		h.obs.NoteSpanKey(capKey, span.Context())
 		return workload.RunProgram(ctx, prog, input, r)
 	}
 	_, src, err := h.Replay.RunSourced(ctx, replay.Key(prog.Name(), input), produce, newRec)
 	if src == replay.SourceCapture {
 		return obs.PhaseCapture, err
 	}
-	if sc, ok := h.Obs.SpanForKey(capKey); ok {
-		span.Trace().Link(sc, "capture")
+	if sc, ok := h.obs.SpanForKey(capKey); ok {
+		span.Link(sc, "capture")
 	}
 	return obs.PhaseReplay, err
 }
@@ -210,14 +187,14 @@ func (h *Harness) feed(ctx context.Context, span *obs.Span, prog workload.Progra
 // decomposable even when the work ran under another request's trace. No-op
 // unless the observer traces.
 func (h *Harness) linkFollower(ctx context.Context, start time.Time, name, key string, err error) {
-	fs, _ := h.Obs.StartSpan(ctx, name)
+	fs, _ := h.obs.StartSpan(ctx, name)
 	if fs == nil {
 		return
 	}
 	fs.SetStart(start)
 	fs.SetKey(key)
 	fs.SetSource(obs.SourceSingleflight)
-	if sc, ok := h.Obs.SpanForKey(key); ok {
+	if sc, ok := h.obs.SpanForKey(key); ok {
 		fs.Link(sc, "singleflight")
 	}
 	fs.End(err)
@@ -228,14 +205,14 @@ func (h *Harness) linkFollower(ctx context.Context, start time.Time, name, key s
 func (h *Harness) countPanic(err error) {
 	var pe *workload.PanicError
 	if errors.As(err, &pe) {
-		h.Obs.Counter(obs.MPanics).Add(1)
+		h.obs.Counter(obs.MPanics).Add(1)
 	}
 }
 
 // armCtx derives the context one uncached simulation runs under.
 func (h *Harness) armCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if h.ArmTimeout > 0 {
-		return context.WithTimeout(ctx, h.ArmTimeout)
+	if h.armTimeout > 0 {
+		return context.WithTimeout(ctx, h.armTimeout)
 	}
 	return context.WithCancel(ctx)
 }
@@ -274,9 +251,9 @@ func NewQuickHarness(opts ...HarnessOption) *Harness {
 }
 
 func (h *Harness) logf(format string, args ...any) {
-	if h.Log != nil {
+	if h.log != nil {
 		h.logMu.Lock()
-		fmt.Fprintf(h.Log, format+"\n", args...)
+		fmt.Fprintf(h.log, format+"\n", args...)
 		h.logMu.Unlock()
 	}
 }
@@ -296,21 +273,21 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 		// The span is created inside the singleflight fn — it runs in the
 		// winning caller's goroutine — so one arm gets exactly one span no
 		// matter how many callers coalesce onto it. Retries re-enter fn and
-		// accumulate onto the same span. StartArmCtx threads the winner's
+		// accumulate onto the same span. StartArm threads the winner's
 		// trace context down to nested work.
 		if attempts++; attempts == 1 {
-			span, ctx = h.Obs.StartArmCtx(ctx, "profile", key)
+			span, ctx = h.obs.StartArm(ctx, "profile", key)
 			span.SetLabels(wl, input, spec, "")
 		} else {
 			span.AddRetry()
 		}
-		if h.Checkpoint != nil {
+		if h.checkpoint != nil {
 			endCk := span.Phase(obs.PhaseCheckpoint)
-			db, ok := h.Checkpoint.LookupProfile(key)
+			db, ok := h.checkpoint.LookupProfile(key)
 			endCk()
 			if ok {
 				h.checkpointHits.Add(1)
-				h.Obs.Counter(obs.MCheckpointHits).Add(1)
+				h.obs.Counter(obs.MCheckpointHits).Add(1)
 				span.SetSource(obs.SourceCheckpoint)
 				span.SetEvents(db.DynamicBranches())
 				h.logf("profile %-8s %-5s %-14s (checkpoint)", wl, input, spec)
@@ -351,8 +328,8 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 						return nil, err
 					}
 					db = profile.NewDB(wl, input)
-					r = sim.NewRunner(p, sim.WithLabels(wl, input), sim.WithCollisions(), sim.WithProfile(db), sim.WithObserver(h.Obs),
-						sim.WithTelemetry(telemetry.New(h.telemetry, h.Obs)))
+					r = sim.NewRunner(p, sim.WithLabels(wl, input), sim.WithCollisions(), sim.WithProfile(db), sim.WithObserver(h.obs),
+						sim.WithTelemetry(telemetry.New(h.telemetry, h.obs)))
 					return r, nil
 				})
 				span.AddPhase(phase, time.Since(t0))
@@ -369,9 +346,9 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 			return nil, err
 		}
 		h.profilesComputed.Add(1)
-		if h.Checkpoint != nil {
+		if h.checkpoint != nil {
 			endCk := span.Phase(obs.PhaseCheckpoint)
-			if err := h.Checkpoint.SaveProfile(key, db); err != nil {
+			if err := h.checkpoint.SaveProfile(key, db); err != nil {
 				h.logf("checkpoint: %v", err)
 			}
 			endCk()
@@ -380,7 +357,7 @@ func (h *Harness) Profile(ctx context.Context, wl, input, predSpec string) (*pro
 		return db, nil
 	})
 	if shared {
-		h.Obs.Counter(obs.MSingleflightHits).Add(1)
+		h.obs.Counter(obs.MSingleflightHits).Add(1)
 		h.linkFollower(ctx, started, "profile:wait", key, err)
 	} else {
 		h.countPanic(err)
@@ -514,18 +491,18 @@ func (h *Harness) RunAttributed(ctx context.Context, a Arm) (sim.Metrics, string
 	src := obs.SourceComputed
 	m, shared, err := h.runs.doShared(ctx, key, func() (sim.Metrics, error) {
 		if attempts++; attempts == 1 {
-			span, ctx = h.Obs.StartArmCtx(ctx, "run", key)
+			span, ctx = h.obs.StartArm(ctx, "run", key)
 			span.SetLabels(a.Workload, a.input(h), spec, a.schemeLabel())
 		} else {
 			span.AddRetry()
 		}
-		if h.Checkpoint != nil {
+		if h.checkpoint != nil {
 			endCk := span.Phase(obs.PhaseCheckpoint)
-			m, ok := h.Checkpoint.LookupRun(key)
+			m, ok := h.checkpoint.LookupRun(key)
 			endCk()
 			if ok {
 				h.checkpointHits.Add(1)
-				h.Obs.Counter(obs.MCheckpointHits).Add(1)
+				h.obs.Counter(obs.MCheckpointHits).Add(1)
 				src = obs.SourceCheckpoint
 				span.SetSource(obs.SourceCheckpoint)
 				span.SetEvents(m.Branches)
@@ -562,8 +539,8 @@ func (h *Harness) RunAttributed(ctx context.Context, a Arm) (sim.Metrics, string
 					return nil, err
 				}
 				p := core.NewCombined(dyn, hints, a.Shift)
-				r = sim.NewRunner(p, sim.WithLabels(a.Workload, input), sim.WithCollisions(), sim.WithObserver(h.Obs),
-					sim.WithTelemetry(telemetry.New(h.telemetry, h.Obs)))
+				r = sim.NewRunner(p, sim.WithLabels(a.Workload, input), sim.WithCollisions(), sim.WithObserver(h.obs),
+					sim.WithTelemetry(telemetry.New(h.telemetry, h.obs)))
 				return r, nil
 			})
 			span.AddPhase(phase, time.Since(t0))
@@ -579,9 +556,9 @@ func (h *Harness) RunAttributed(ctx context.Context, a Arm) (sim.Metrics, string
 			return sim.Metrics{}, err
 		}
 		h.runsComputed.Add(1)
-		if h.Checkpoint != nil {
+		if h.checkpoint != nil {
 			endCk := span.Phase(obs.PhaseCheckpoint)
-			if err := h.Checkpoint.SaveRun(key, m); err != nil {
+			if err := h.checkpoint.SaveRun(key, m); err != nil {
 				h.logf("checkpoint: %v", err)
 			}
 			endCk()
@@ -592,7 +569,7 @@ func (h *Harness) RunAttributed(ctx context.Context, a Arm) (sim.Metrics, string
 	})
 	if shared {
 		src = obs.SourceSingleflight
-		h.Obs.Counter(obs.MSingleflightHits).Add(1)
+		h.obs.Counter(obs.MSingleflightHits).Add(1)
 		h.linkFollower(ctx, started, "run:wait", key, err)
 	} else {
 		h.countPanic(err)

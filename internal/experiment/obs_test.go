@@ -198,6 +198,7 @@ func TestMetricsEndpointDuringSweep(t *testing.T) {
 	sseCtx, sseCancel := context.WithCancel(context.Background())
 	defer sseCancel()
 	sseFrames := make(chan int, 1)
+	sseSix := make(chan struct{}) // closed once the stream delivered 6 frames
 	sseErr := make(chan error, 1)
 	go func() {
 		req, err := http.NewRequestWithContext(sseCtx, "GET", "http://"+srv.Addr()+"/events", nil)
@@ -217,7 +218,9 @@ func TestMetricsEndpointDuringSweep(t *testing.T) {
 		sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 		for sc.Scan() {
 			if strings.HasPrefix(sc.Text(), "data: ") {
-				n++
+				if n++; n == 6 {
+					close(sseSix)
+				}
 			}
 		}
 		sseFrames <- n
@@ -237,6 +240,12 @@ func TestMetricsEndpointDuringSweep(t *testing.T) {
 	close(done)
 	if err := <-pollErr; err != nil {
 		t.Fatal(err)
+	}
+	// Frames reach the client asynchronously; let the stream deliver the
+	// sweep's frames before hanging up.
+	select {
+	case <-sseSix:
+	case <-time.After(5 * time.Second):
 	}
 	sseCancel()
 	select {

@@ -11,32 +11,32 @@ import (
 	"branchsim/internal/workload"
 )
 
-// HarnessOption configures a Harness at construction. Options are the
-// supported configuration surface; the exported struct fields they set
-// remain for compatibility but are deprecated.
+// HarnessOption configures a Harness at construction. Options are the only
+// way to configure one: every field they set is unexported except Replay,
+// which callers may read.
 type HarnessOption func(*Harness)
 
 // WithLogger sends one human-readable line per uncached simulation (and per
 // checkpoint event) to w. For structured, machine-readable output attach an
 // observer with a journal instead — see WithObserver.
 func WithLogger(w io.Writer) HarnessOption {
-	return func(h *Harness) { h.Log = w }
+	return func(h *Harness) { h.log = w }
 }
 
 // WithArmTimeout bounds each uncached simulation with its own deadline.
 func WithArmTimeout(d time.Duration) HarnessOption {
-	return func(h *Harness) { h.ArmTimeout = d }
+	return func(h *Harness) { h.armTimeout = d }
 }
 
 // WithRetry sets the in-place retry policy for transient arm failures.
 func WithRetry(p RetryPolicy) HarnessOption {
-	return func(h *Harness) { h.Retry = p }
+	return func(h *Harness) { h.retry = p }
 }
 
 // WithCheckpoint journals completed work into cp and consults it before
 // simulating, so a killed sweep resumes where it stopped.
 func WithCheckpoint(cp *Checkpoint) HarnessOption {
-	return func(h *Harness) { h.Checkpoint = cp }
+	return func(h *Harness) { h.checkpoint = cp }
 }
 
 // WithReplay attaches a capture-once replay engine: one instrumented
@@ -72,7 +72,7 @@ func WithBatch(on bool) HarnessOption {
 // the replay engine attached at construction time. A nil o leaves the
 // harness unobserved (the zero-cost default).
 func WithObserver(o *obs.Observer) HarnessOption {
-	return func(h *Harness) { h.Obs = o }
+	return func(h *Harness) { h.obs = o }
 }
 
 // WithTelemetry enables simulation-domain telemetry on every uncached arm:
@@ -87,13 +87,13 @@ func WithTelemetry(cfg telemetry.Config) HarnessOption {
 // WithLookup substitutes the workload resolver (nil means workload.Get).
 // Fault-injection tests use it to wrap programs with fault plans.
 func WithLookup(fn func(name string) (workload.Program, error)) HarnessOption {
-	return func(h *Harness) { h.Lookup = fn }
+	return func(h *Harness) { h.lookup = fn }
 }
 
 // WithPredictorFactory substitutes the predictor builder (nil means
 // predictor.New). Fault-injection tests use it to wrap predictors.
 func WithPredictorFactory(fn func(spec string) (predictor.Predictor, error)) HarnessOption {
-	return func(h *Harness) { h.NewPredictor = fn }
+	return func(h *Harness) { h.newPredictor = fn }
 }
 
 // apply runs opts and finalizes cross-option wiring: a WithWorkers-owned
@@ -107,8 +107,8 @@ func (h *Harness) apply(opts []HarnessOption) *Harness {
 		h.Replay = replay.New(h.workers, 0, "", replay.WithBatch(!h.noBatch))
 		h.ownedReplay = true
 	}
-	if h.Replay != nil && h.Obs != nil {
-		h.Replay.SetObserver(h.Obs)
+	if h.Replay != nil && h.obs != nil {
+		h.Replay.SetObserver(h.obs)
 	}
 	return h
 }
@@ -126,8 +126,8 @@ func (h *Harness) Close() {
 		h.Replay = nil
 		h.ownedReplay = false
 	}
-	h.Obs.StopProgress()
-	if err := h.Obs.Flush(); err != nil {
+	h.obs.StopProgress()
+	if err := h.obs.Flush(); err != nil {
 		h.logf("journal flush: %v", err)
 	}
 }

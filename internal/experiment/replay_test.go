@@ -53,16 +53,15 @@ func TestEquivalenceHarnessReplay(t *testing.T) {
 	}
 
 	var execs atomic.Int64
-	h := testHarness()
-	h.Replay = replay.New(4, 0, "")
-	defer h.Replay.Close()
-	h.Lookup = func(name string) (workload.Program, error) {
+	eng := replay.New(4, 0, "")
+	defer eng.Close()
+	h := testHarness(WithReplay(eng), WithLookup(func(name string) (workload.Program, error) {
 		p, err := workload.Get(name)
 		if err != nil {
 			return nil, err
 		}
 		return countingProg{Program: p, execs: &execs}, nil
-	}
+	}))
 
 	got := make([]sim.Metrics, len(arms))
 	errs := make([]error, len(arms))
@@ -105,9 +104,9 @@ func TestHarnessReplayImprovement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h := testHarness()
-	h.Replay = replay.New(2, 0, "")
-	defer h.Replay.Close()
+	eng := replay.New(2, 0, "")
+	defer eng.Close()
+	h := testHarness(WithReplay(eng))
 	got, err := h.Improvement(ctx, a)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -218,7 +219,7 @@ func TestSpanPublishesStartAndEndRecords(t *testing.T) {
 	o := New()
 	defer o.Close()
 	sub := o.Subscribe(8)
-	sp := o.StartArm("run", "k1")
+	sp, _ := o.StartArm(context.Background(), "run", "k1")
 	sp.End(nil)
 
 	want := []string{RecArmStart, RecArm}

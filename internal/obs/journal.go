@@ -41,14 +41,8 @@ func OpenJournalFS(fs fsx.FS, path string) (*Journal, error) {
 	return &Journal{w: bufio.NewWriter(f), c: f}, nil
 }
 
-// Record appends one arm record as a single JSONL line and flushes, so a
-// killed run keeps every completed arm.
-func (j *Journal) Record(rec *ArmRecord) error {
-	return j.Write(rec)
-}
-
 // Write appends one journal record of any registered type as a single JSONL
-// line and flushes. The record's type and schema-version envelope fields are
+// line and flushes, so a killed run keeps every completed arm. The record's type and schema-version envelope fields are
 // stamped before encoding.
 func (j *Journal) Write(rec JournalRecord) error {
 	if j == nil {

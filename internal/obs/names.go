@@ -147,8 +147,8 @@ const (
 	// flush to the client connection).
 	MBusSSELag = "bus.sse_lag"
 
-	// MTraceSpans counts trace spans published to the live bus.
-	MTraceSpans = "trace.spans"
+	// MSpansPublished counts trace spans published to the live bus.
+	MSpansPublished = "trace.spans"
 
 	// MBusPublished counts records published to the live event bus.
 	MBusPublished = "bus.published"
@@ -280,7 +280,7 @@ var registeredNames = []RegisteredName{
 	{MPhaseSeal, KindHistogram},
 	{MReplayChunkDecode, KindHistogram},
 	{MBusSSELag, KindHistogram},
-	{MTraceSpans, KindCounter},
+	{MSpansPublished, KindCounter},
 	{MBusPublished, KindCounter},
 	{MBusDropped, KindCounter},
 	{MBusSubscribers, KindGauge},

@@ -203,13 +203,6 @@ func (o *Observer) Flush() error {
 	return o.journal.Sync()
 }
 
-// record routes one finished arm record: journaled (if a journal is
-// attached) and mirrored to the live bus.
-func (o *Observer) record(rec *ArmRecord) {
-	o.Emit(rec)
-	o.Publish(rec)
-}
-
 // Publish mirrors one record to the live event bus only — it never touches
 // the journal, so live streaming cannot perturb journal bytes. Use Emit for
 // the durable path; span completion goes through both. Safe on nil.

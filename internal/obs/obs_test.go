@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -38,7 +39,7 @@ func TestNilObserverIsNoop(t *testing.T) {
 	if tm.Count() != 0 || tm.Total() != 0 || tm.Mean() != 0 {
 		t.Fatalf("nil timer accumulated")
 	}
-	s := o.StartArm("run", "k")
+	s, _ := o.StartArm(context.Background(), "run", "k")
 	if s != nil {
 		t.Fatalf("nil observer returned a span")
 	}
@@ -67,7 +68,7 @@ func TestNilHandlesAllocationFree(t *testing.T) {
 	var o *Observer
 	c := o.Counter("x")
 	g := o.Gauge("y")
-	s := o.StartArm("run", "k")
+	s, _ := o.StartArm(context.Background(), "run", "k")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
 		g.Add(1)
@@ -122,7 +123,7 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	o := New(WithJournal(NewJournal(&buf)))
 
-	s := o.StartArm("run", "r|gcc|ref|gshare:8KB")
+	s, _ := o.StartArm(context.Background(), "run", "r|gcc|ref|gshare:8KB")
 	s.SetLabels("gcc", "ref", "gshare:8KB", "static95")
 	s.AddPhase(PhaseSelect, 5*time.Millisecond)
 	s.AddPhase(PhaseReplay, 100*time.Millisecond)
@@ -131,7 +132,7 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 	s.SetMetrics(map[string]any{"Mispredicts": 42})
 	s.End(nil)
 
-	f := o.StartArm("profile", "p|gcc|train|")
+	f, _ := o.StartArm(context.Background(), "profile", "p|gcc|train|")
 	f.SetLabels("gcc", "train", "", "")
 	f.SetSource(SourceCheckpoint)
 	f.End(errors.New("checkpoint corrupt"))
@@ -178,6 +179,30 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRetriedArmThroughputUsesLastStreamPhase: a failed attempt still
+// records its stream phase, so a retried arm carries two. The events belong
+// to the successful (last) attempt, and so must the time they divide by.
+func TestRetriedArmThroughputUsesLastStreamPhase(t *testing.T) {
+	var buf bytes.Buffer
+	o := New(WithJournal(NewJournal(&buf)))
+	s, _ := o.StartArm(context.Background(), "run", "k")
+	s.AddPhase(PhaseReplay, time.Second)
+	s.AddRetry()
+	s.AddPhase(PhaseReplay, 2*time.Second)
+	s.SetEvents(4_000_000)
+	s.End(nil)
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].EventsPerSec != 2e6 {
+		t.Fatalf("records = %+v, want one with 2e6 events/s", recs)
+	}
+}
+
 func TestReadJournalRejectsMalformed(t *testing.T) {
 	_, err := ReadJournal(strings.NewReader("{\"kind\":\"run\"}\nnot json\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
@@ -201,7 +226,7 @@ func TestJournalFileAndConcurrentRecords(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			s := o.StartArm("run", "k")
+			s, _ := o.StartArm(context.Background(), "run", "k")
 			s.SetEvents(1)
 			s.End(nil)
 		}()
@@ -278,7 +303,7 @@ func TestJournalWriteFailureReportedOnce(t *testing.T) {
 	var errlog bytes.Buffer
 	o := New(WithJournal(NewJournal(failingWriter{})), WithErrorLog(&errlog))
 	for i := 0; i < 3; i++ {
-		s := o.StartArm("run", "k")
+		s, _ := o.StartArm(context.Background(), "run", "k")
 		s.End(nil)
 	}
 	if got := strings.Count(errlog.String(), "journal write failed"); got != 1 {

@@ -23,9 +23,10 @@ const (
 	// PhaseSeal is the telemetry-seal stage: stamping final metrics and
 	// flushing the arm's telemetry records.
 	PhaseSeal Phase = "seal"
-	// PhaseQueue is a serve-side trace phase: how long an admitted arm
-	// waited for a worker slot. Trace spans only — it never appears in
-	// ArmRecord.Phases.
+	// PhaseQueue is how long an admitted serve arm waited to start: for a
+	// worker slot, then for its goroutine. It appears only on serve's "arm"
+	// trace spans, which start at queue entry; harness arm spans never
+	// record it, so it never appears in ArmRecord.Phases.
 	PhaseQueue Phase = "queue_wait"
 )
 
@@ -93,122 +94,175 @@ type ArmRecord struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Span tracks one arm while it runs and becomes an ArmRecord when it ends.
-// A span belongs to the single goroutine executing its arm; it is not safe
-// for concurrent use. A nil *Span (from a nil Observer) is a no-op.
+// Span is one timed operation: a node of a request trace and, for an arm
+// opened by StartArm, the arm's lifecycle record. It holds the SpanRecord it
+// publishes to the live bus when the observer traces. An arm span also holds
+// its arm-only fields (labels, retries, events, metrics, fault baseline), and
+// End projects the rest of its journal ArmRecord from that same SpanRecord,
+// so the two views of an arm cannot disagree. The ArmRecord never carries
+// trace fields, so journal bytes are identical with tracing on or off.
+//
+// A span belongs to the single goroutine executing its operation; it is not
+// safe for concurrent use. A nil *Span (from a nil observer, or StartSpan
+// without tracing) is a no-op, so callers thread it unconditionally.
 type Span struct {
-	o       *Observer
-	rec     ArmRecord
-	started time.Time
+	o     *Observer
+	rec   SpanRecord
+	start time.Time
+
+	// arm is the journal record of an arm span (nil for a plain trace
+	// span): the arm-only setters fill it, End projects the rest from rec.
+	// faults0 is the fault counter when the arm started.
+	arm     *ArmRecord
 	faults0 uint64
-	// trace is the arm's trace span, when the observer traces; the
-	// ArmRecord itself never carries trace fields, so journal bytes are
-	// identical with tracing on or off.
-	trace *TraceSpan
 }
 
-// StartArm opens a span for one arm. kind is the harness stage ("profile",
-// "run", "simulate"); key is the arm's memoization key.
-func (o *Observer) StartArm(kind, key string) *Span {
-	s, _ := o.StartArmCtx(context.Background(), kind, key)
-	return s
+// StartSpan opens a trace span named name as a child of the span carried by
+// ctx (a root span if ctx carries none) and returns it together with a
+// context carrying the new span. On a nil observer — or one built without
+// WithTracing — it returns (nil, ctx) unchanged, so the disabled path costs
+// one branch and no allocation.
+func (o *Observer) StartSpan(ctx context.Context, name string) (*Span, context.Context) {
+	if o == nil || !o.tracing {
+		return nil, ctx
+	}
+	s := o.newSpan(ctx, name)
+	return s, ContextWithSpan(ctx, s.Context())
 }
 
-// StartArmCtx is StartArm with trace propagation: when the observer traces,
-// the arm also opens a trace span as a child of the span carried by ctx, and
-// the returned context carries the arm's span (so nested work — the shared
-// capture — attributes to it). The arm's span context is noted under key in
-// the cross-link registry so singleflight followers can link the winner.
-func (o *Observer) StartArmCtx(ctx context.Context, kind, key string) (*Span, context.Context) {
+// StartArm opens the span of one arm. kind is the harness stage ("profile",
+// "run", "simulate"); key is the arm's memoization key. The span is journaled
+// when it ends. When the observer traces, the span is a child of the span
+// carried by ctx, the returned context carries the arm's span (so nested
+// work — the shared capture — attributes to it), and the span is noted under
+// key in the cross-link registry so singleflight followers can link the
+// winner. Otherwise ctx is returned unchanged.
+func (o *Observer) StartArm(ctx context.Context, kind, key string) (*Span, context.Context) {
 	if o == nil {
 		return nil, ctx
 	}
 	o.Counter(MArmsStarted).Add(1)
 	o.Gauge(MArmsRunning).Add(1)
 	o.Publish(&ArmStartRecord{Time: time.Now(), Kind: kind, Key: key})
-	s := &Span{
-		o:       o,
-		rec:     ArmRecord{Kind: kind, Key: key, Source: SourceComputed},
-		started: time.Now(),
-		faults0: o.Counter(MFaultsInjected).Value(),
-	}
-	s.trace, ctx = o.StartSpan(ctx, kind)
-	if s.trace != nil {
-		s.trace.SetKey(key)
-		o.NoteSpanKey(key, s.trace.Context())
+	s := o.newSpan(ctx, kind)
+	s.rec.Key = key
+	s.rec.Source = SourceComputed
+	s.arm = &ArmRecord{}
+	s.faults0 = o.Counter(MFaultsInjected).Value()
+	if o.tracing {
+		ctx = ContextWithSpan(ctx, s.Context())
+		o.NoteSpanKey(key, s.Context())
 	}
 	return s, ctx
 }
 
-// Trace returns the arm's trace span (nil when the observer does not
-// trace), for callers that attach cross-trace links.
-func (s *Span) Trace() *TraceSpan {
-	if s == nil {
-		return nil
+// newSpan starts a span named name now; when the observer traces it gets
+// its identifiers, parented by the span ctx carries.
+func (o *Observer) newSpan(ctx context.Context, name string) *Span {
+	s := &Span{o: o, start: time.Now(), rec: SpanRecord{Name: name}}
+	if !o.tracing {
+		return s
 	}
-	return s.trace
+	s.rec.SpanID = newID()
+	if parent, ok := SpanFromContext(ctx); ok {
+		s.rec.TraceID = parent.TraceID
+		s.rec.ParentID = parent.SpanID
+	} else {
+		s.rec.TraceID = newID()
+	}
+	return s
+}
+
+// Context returns the span's identity (zero for nil, and for an arm span of
+// an observer that does not trace).
+func (s *Span) Context() SpanContext {
+	if s == nil {
+		return SpanContext{}
+	}
+	return SpanContext{TraceID: s.rec.TraceID, SpanID: s.rec.SpanID}
+}
+
+// SetTenant records the owning tenant.
+func (s *Span) SetTenant(tenant string) {
+	if s != nil {
+		s.rec.Tenant = tenant
+	}
+}
+
+// SetJob records the owning job ID.
+func (s *Span) SetJob(id string) {
+	if s != nil {
+		s.rec.Job = id
+	}
+}
+
+// SetKey records the arm memoization key the span covers.
+func (s *Span) SetKey(key string) {
+	if s != nil {
+		s.rec.Key = key
+	}
+}
+
+// SetSource records where the spanned operation's result came from
+// (SourceComputed is an arm span's default).
+func (s *Span) SetSource(source string) {
+	if s != nil {
+		s.rec.Source = source
+	}
+}
+
+// SetStart rewinds the span's start time — for a span opened after an
+// already-measured wait began (a serve arm's queue wait, a singleflight
+// follower's blocked time).
+func (s *Span) SetStart(t time.Time) {
+	if s != nil {
+		s.start = t
+	}
 }
 
 // SetLabels records the arm's identity. Empty strings leave the previous
 // value (so callers can fill labels incrementally).
 func (s *Span) SetLabels(workload, input, predictor, scheme string) {
-	if s == nil {
+	if s == nil || s.arm == nil {
 		return
 	}
 	if workload != "" {
-		s.rec.Workload = workload
+		s.arm.Workload = workload
 	}
 	if input != "" {
-		s.rec.Input = input
+		s.arm.Input = input
 	}
 	if predictor != "" {
-		s.rec.Predictor = predictor
+		s.arm.Predictor = predictor
 	}
 	if scheme != "" {
-		s.rec.Scheme = scheme
+		s.arm.Scheme = scheme
 	}
 }
 
-// SetSource records where the arm's result came from (SourceComputed is the
-// default).
-func (s *Span) SetSource(source string) {
-	if s != nil {
-		s.rec.Source = source
-		s.trace.SetSource(source)
-	}
-}
-
-// AddPhase appends one phase timing (the phase ended now, d ago), mirrors
-// it onto the arm's trace span, and feeds the per-phase duration histogram.
+// AddPhase appends one phase that ended now and lasted d, and feeds the
+// per-phase duration histogram. Phase offsets are relative to the span
+// start, so renderers can draw a waterfall without cross-referencing wall
+// clocks.
 func (s *Span) AddPhase(p Phase, d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.rec.Phases = append(s.rec.Phases, PhaseTiming{Phase: p, Nanos: int64(d)})
-	s.trace.AddPhase(p, time.Now().Add(-d), d)
-	if name := phaseHistName(p); name != "" {
+	s.rec.Phases = append(s.rec.Phases, SpanPhase{
+		Phase:       p,
+		OffsetNanos: int64(time.Since(s.start) - d),
+		DurNanos:    int64(d),
+	})
+	if name, ok := phaseHists[p]; ok {
 		s.o.Histogram(name).Observe(d)
 	}
 }
 
-// phaseHistName maps an arm phase to its duration-histogram name ("" for
-// phases without one).
-func phaseHistName(p Phase) string {
-	switch p {
-	case PhaseCapture:
-		return MPhaseCapture
-	case PhaseReplay:
-		return MPhaseReplay
-	case PhaseSimulate:
-		return MPhaseSimulate
-	case PhaseSelect:
-		return MPhaseSelect
-	case PhaseCheckpoint:
-		return MPhaseCheckpoint
-	case PhaseSeal:
-		return MPhaseSeal
-	}
-	return ""
+// phaseHists maps an arm phase to its duration histogram; phases without
+// one (queue_wait) are absent.
+var phaseHists = map[Phase]string{
+	PhaseCapture: MPhaseCapture, PhaseReplay: MPhaseReplay, PhaseSimulate: MPhaseSimulate,
+	PhaseSelect: MPhaseSelect, PhaseCheckpoint: MPhaseCheckpoint, PhaseSeal: MPhaseSeal,
 }
 
 // Phase starts timing phase p and returns the function that ends it. Usage:
@@ -227,72 +281,105 @@ var noop = func() {}
 // AddRetry counts one in-place re-attempt, on the span and on the
 // registry's global retry counter.
 func (s *Span) AddRetry() {
-	if s == nil {
+	if s == nil || s.arm == nil {
 		return
 	}
-	s.rec.Retries++
+	s.arm.Retries++
 	s.o.Counter(MRetries).Add(1)
 }
 
 // SetEvents records the arm's dynamic branch count.
 func (s *Span) SetEvents(n uint64) {
-	if s != nil {
-		s.rec.Events = n
+	if s != nil && s.arm != nil {
+		s.arm.Events = n
 	}
 }
 
 // SetMetrics attaches the arm's final metrics (marshalled to JSON verbatim).
 func (s *Span) SetMetrics(v any) {
-	if s == nil {
+	if s == nil || s.arm == nil {
 		return
 	}
 	if data, err := json.Marshal(v); err == nil {
-		s.rec.Metrics = data
+		s.arm.Metrics = data
 	}
 }
 
-// End closes the span: it computes wall time and throughput, stamps the
-// fault delta, updates the arm counters, and appends the record to the
-// journal. err is the arm's outcome (nil for success).
+// Link records a cross-trace reference to another span: kind "singleflight"
+// points a follower at the winner that computed its result, kind "capture"
+// points a replaying arm at the capture that recorded its stream. Zero
+// targets are ignored.
+func (s *Span) Link(target SpanContext, kind string) {
+	if s == nil || target.TraceID == "" {
+		return
+	}
+	s.rec.Links = append(s.rec.Links, SpanLink{
+		TraceID: target.TraceID, SpanID: target.SpanID, Kind: kind,
+	})
+}
+
+// End closes the span. err is the operation's outcome (nil for success).
+// When the observer traces, the span frame is published to the live bus
+// (never the journal). An arm span also updates the arm counters and the
+// arm-wall histogram, and journals its ArmRecord.
 func (s *Span) End(err error) {
 	if s == nil {
 		return
 	}
 	s.rec.Time = time.Now()
-	s.rec.WallNanos = int64(s.rec.Time.Sub(s.started))
-	s.rec.Faults = s.o.Counter(MFaultsInjected).Value() - s.faults0
-	if s.rec.Events > 0 {
-		if d := s.streamNanos(); d > 0 {
-			s.rec.EventsPerSec = float64(s.rec.Events) / (float64(d) / 1e9)
-		}
-	}
-	s.o.Gauge(MArmsRunning).Add(-1)
+	s.rec.StartNanos = s.start.UnixNano()
+	s.rec.DurNanos = int64(s.rec.Time.Sub(s.start))
 	if err != nil {
 		s.rec.Error = err.Error()
+	}
+	if s.arm != nil {
+		s.endArm(err)
+	}
+	if s.o.tracing {
+		s.o.Counter(MSpansPublished).Add(1)
+		s.o.Publish(&s.rec)
+	}
+	if s.arm != nil {
+		s.o.Emit(s.arm)
+		s.o.Publish(s.arm)
+	}
+}
+
+// endArm updates the arm counters and the arm-wall histogram and completes
+// the arm's journal record by projecting the span onto it: kind is the span
+// name, wall time its duration, and phases keep only their durations.
+// EventsPerSec divides the events by the last stream-feeding phase (capture,
+// replay or direct simulate), which is the successful attempt's when a failed
+// attempt was retried, or by the wall time when there is none.
+func (s *Span) endArm(err error) {
+	s.o.Gauge(MArmsRunning).Add(-1)
+	if err != nil {
 		s.o.Counter(MArmsFailed).Add(1)
 	} else {
 		s.o.Counter(MArmsDone).Add(1)
 	}
-	wall := time.Duration(s.rec.WallNanos)
-	if s.trace != nil && s.o.slowArm > 0 && wall >= s.o.slowArm {
+	wall := time.Duration(s.rec.DurNanos)
+	if s.o.tracing && s.o.slowArm > 0 && wall >= s.o.slowArm {
 		// A slow arm: pin an exemplar so the latency bucket leads back to
 		// this arm's trace.
-		s.o.Histogram(MArmWall).ObserveExemplar(wall, s.trace.rec.TraceID)
+		s.o.Histogram(MArmWall).ObserveExemplar(wall, s.rec.TraceID)
 	} else {
 		s.o.Histogram(MArmWall).Observe(wall)
 	}
-	s.trace.End(err)
-	s.o.record(&s.rec)
-}
 
-// streamNanos returns the wall time of the arm's stream-feeding phase
-// (capture, replay or direct simulate), falling back to total wall time.
-func (s *Span) streamNanos() int64 {
-	for _, pt := range s.rec.Phases {
-		switch pt.Phase {
+	a := s.arm
+	a.Time, a.Kind, a.Key, a.Source = s.rec.Time, s.rec.Name, s.rec.Key, s.rec.Source
+	a.WallNanos, a.Error = s.rec.DurNanos, s.rec.Error
+	a.Faults = s.o.Counter(MFaultsInjected).Value() - s.faults0
+	stream := s.rec.DurNanos
+	for _, p := range s.rec.Phases {
+		a.Phases = append(a.Phases, PhaseTiming{Phase: p.Phase, Nanos: p.DurNanos})
+		switch p.Phase {
 		case PhaseCapture, PhaseReplay, PhaseSimulate:
-			return pt.Nanos
+			stream = p.DurNanos
 		}
 	}
-	return s.rec.WallNanos
+	if a.Events > 0 && stream > 0 {
+		a.EventsPerSec = float64(a.Events) / (float64(stream) / 1e9)
+	}
 }

@@ -67,8 +67,8 @@ func TestStartSpanHierarchy(t *testing.T) {
 	if s := byID[gc.SpanID]; s == nil || s.ParentID != cc.SpanID {
 		t.Fatalf("grandchild frame = %+v", byID[gc.SpanID])
 	}
-	if o.Counter(MTraceSpans).Value() != 3 {
-		t.Fatalf("trace.spans = %d, want 3", o.Counter(MTraceSpans).Value())
+	if o.Counter(MSpansPublished).Value() != 3 {
+		t.Fatalf("trace.spans = %d, want 3", o.Counter(MSpansPublished).Value())
 	}
 }
 
@@ -84,8 +84,8 @@ func TestSpanPhasesAndLinks(t *testing.T) {
 	span.SetJob("j000001")
 	span.SetKey("compress/test/gshare:1KB/none")
 	span.SetSource(SourceComputed)
-	phaseStart := time.Now()
-	span.AddPhase(PhaseQueue, phaseStart, 5*time.Millisecond)
+	span.SetStart(time.Now().Add(-5 * time.Millisecond)) // the wait began before the span opened
+	span.AddPhase(PhaseQueue, 5*time.Millisecond)
 	span.Link(SpanContext{TraceID: "feed0000feed0000", SpanID: "beef0000beef0000"}, "singleflight")
 	span.Link(SpanContext{}, "ignored") // zero target: dropped
 	span.End(nil)
@@ -127,7 +127,7 @@ func TestTracingDisabledIsInert(t *testing.T) {
 			t.Fatalf("%s observer: context was replaced", name)
 		}
 		span.SetTenant("x")
-		span.AddPhase(PhaseQueue, time.Now(), time.Millisecond)
+		span.AddPhase(PhaseQueue, time.Millisecond)
 		span.Link(SpanContext{TraceID: "aa"}, "k")
 		span.End(nil)
 		o.NoteSpanKey("k", SpanContext{TraceID: "aa", SpanID: "bb"})
@@ -142,7 +142,7 @@ func TestTracingDisabledIsInert(t *testing.T) {
 	var o *Observer
 	allocs := testing.AllocsPerRun(1000, func() {
 		span, _ := o.StartSpan(context.Background(), "request")
-		span.AddPhase(PhaseQueue, time.Time{}, 0)
+		span.AddPhase(PhaseQueue, 0)
 		span.End(nil)
 	})
 	if allocs != 0 {
@@ -158,7 +158,7 @@ func TestSpanFramesNeverJournaled(t *testing.T) {
 	o := New(WithJournal(NewJournal(&buf)), WithTracing())
 	span, _ := o.StartSpan(context.Background(), "request")
 	span.End(nil)
-	s := o.StartArm("run", "k")
+	s, _ := o.StartArm(context.Background(), "run", "k")
 	s.End(nil)
 	if err := o.Close(); err != nil {
 		t.Fatal(err)

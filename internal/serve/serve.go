@@ -115,7 +115,7 @@ type job struct {
 	// span is the job's trace span and traceID its trace, when the
 	// observer traces.
 	created time.Time
-	span    *obs.TraceSpan
+	span    *obs.Span
 	traceID string
 }
 
@@ -324,7 +324,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 			arms.Add(1)
 			go func(i int) {
 				defer func() { <-s.sem; arms.Done() }()
-				s.runArm(ctx, j, i, wait)
+				s.runArm(ctx, j, i, queued)
 			}(i)
 			continue
 		}
@@ -387,21 +387,20 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 }
 
 // runArm executes one arm on the shared harness and settles its result.
-// queued is how long the arm waited for a pool slot; the arm's span records
-// it as a queue_wait phase so a trace waterfall shows contention, not just
-// compute.
-func (s *Server) runArm(ctx context.Context, j *job, i int, queued time.Duration) {
+// The arm entered the pool queue at queued; its span starts there and
+// records everything up to now as a queue_wait phase, so a trace waterfall
+// shows contention, not just compute.
+func (s *Server) runArm(ctx context.Context, j *job, i int, queued time.Time) {
 	a := j.arms[i].Arm
 	j.mu.Lock()
 	j.arms[i].State = serveapi.ArmRunning
 	j.mu.Unlock()
 	aspan, actx := s.obs.StartSpan(ctx, "arm")
+	aspan.SetStart(queued)
 	aspan.SetTenant(j.tenant)
 	aspan.SetJob(j.id)
 	aspan.SetKey(a.Key())
-	if queued > 0 {
-		aspan.AddPhase(obs.PhaseQueue, time.Now().Add(-queued), queued)
-	}
+	aspan.AddPhase(obs.PhaseQueue, time.Since(queued))
 	m, src, err := s.harness.RunAttributed(actx, experiment.Arm{
 		Workload: a.Workload,
 		Input:    a.Input,

@@ -254,3 +254,52 @@ func TestTracingAndTenantAttribution(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueWaitInsideArmSpan: an arm's span starts when the arm enters the
+// pool queue, so its queue_wait phase lies inside the span — a non-negative
+// offset that ends within the span's duration. With one worker, the second
+// arm of a two-arm job waits for the first.
+func TestQueueWaitInsideArmSpan(t *testing.T) {
+	sink := obs.New(obs.WithTracing())
+	spans := collectSpans(sink)
+	h := experiment.NewQuickHarness(experiment.WithObserver(sink))
+	s, err := serve.New(serve.Config{Harness: h, Obs: sink, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := s.Submit(context.Background(), &serveapi.JobSpec{Tenant: "alice",
+		Workloads: []string{"compress"}, Inputs: []string{"test"},
+		Predictors: []string{"gshare:1KB", "bimodal:1KB"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, s, ack.ID); st.State != serveapi.StateDone {
+		t.Fatalf("job = %+v, want done", st)
+	}
+	s.Close()
+	h.Close()
+	sink.Close()
+	<-spans.done
+
+	var arms int
+	var longest time.Duration
+	for _, sp := range spans.trace(ack.TraceID) {
+		if sp.Name != "arm" {
+			continue
+		}
+		arms++
+		for _, p := range sp.Phases {
+			if p.Phase != obs.PhaseQueue {
+				continue
+			}
+			if p.OffsetNanos < 0 || p.OffsetNanos+p.DurNanos > sp.DurNanos {
+				t.Errorf("arm %s: queue_wait at +%v for %v outside span of %v",
+					sp.Key, time.Duration(p.OffsetNanos), time.Duration(p.DurNanos), time.Duration(sp.DurNanos))
+			}
+			longest = max(longest, time.Duration(p.DurNanos))
+		}
+	}
+	if arms != 2 || longest <= 0 {
+		t.Fatalf("%d arm spans, longest queue wait %v; want 2 arms, one of them queued", arms, longest)
+	}
+}

@@ -131,7 +131,7 @@ func Simulate(ctx context.Context, opts ...SimOption) (Metrics, error) {
 	if label == "" && pred != nil {
 		label = pred.Name()
 	}
-	span := cfg.obs.StartArm("simulate", "s|"+cfg.workload+"|"+cfg.input+"|"+label)
+	span, ctx := cfg.obs.StartArm(ctx, "simulate", "s|"+cfg.workload+"|"+cfg.input+"|"+label)
 	span.SetLabels(cfg.workload, cfg.input, label, "")
 	m, err := cfg.simulate(ctx, pred, span)
 	if err == nil {
