@@ -35,6 +35,11 @@ func TestGoldenSynthResults(t *testing.T) {
 		{"mcfarling:1KB", 11315, 27344},
 		{"tage:1KB", 11004, 39963},
 		{"perceptron:1KB", 10732, 30719},
+		// Larger modern tables: the kernel-vs-scalar checks share table
+		// storage, so these pin its layout. Perceptron collisions reach 0
+		// on synth from 16KB.
+		{"tage:32KB", 10804, 39369},
+		{"perceptron:8KB", 10341, 16465},
 	}
 	for _, g := range golden {
 		m, err := branchsim.Simulate(context.Background(),

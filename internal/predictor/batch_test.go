@@ -444,7 +444,7 @@ func TestTAGEFoldOracle(t *testing.T) {
 			for j := range tg.comps {
 				c := &tg.comps[j]
 				want := [3]uint64{
-					foldHistory(h, c.histLen, log2(len(c.ctr))),
+					foldHistory(h, c.histLen, log2(len(c.e))),
 					foldHistory(h, c.histLen, c.tagBits),
 					foldHistory(h, c.histLen, c.tagBits-1),
 				}

@@ -62,10 +62,17 @@ func (t *table) stats(name string) TableStats {
 	s.Occupied = occupied(t.tags)
 	s.Entropy = counterEntropy(s.Counters)
 	if t.switches != nil {
+		// Most entries never switch owner: count only the nonzero ones
+		// and put the rest in bucket 0.
 		var hist [33]uint64
+		var switched uint64
 		for _, sw := range t.switches {
-			hist[bits.Len32(sw)]++
+			if sw != 0 {
+				hist[bits.Len32(sw)]++
+				switched++
+			}
 		}
+		hist[0] = uint64(len(t.switches)) - switched
 		s.SharingHist = trimHist(hist[:])
 	}
 	return s
@@ -96,10 +103,10 @@ func countStates(b []uint8, counts *[4]uint64) {
 }
 
 // occupied counts the nonzero tags, branch-free.
-func occupied[T uint16 | uint64](tags []T) int {
+func occupied(tags []uint64) int {
 	var n uint64
 	for _, tag := range tags {
-		n += nz(uint64(tag))
+		n += nz(tag)
 	}
 	return int(n)
 }
@@ -194,11 +201,11 @@ func (t *TAGE) Introspect() []TableStats {
 	out = append(out, t.base.stats("base"))
 	for i := range t.comps {
 		c := &t.comps[i]
-		s := TableStats{Name: tageBankName(c.histLen), Entries: len(c.ctr)}
-		for _, v := range c.ctr {
-			s.Counters[(int(v)+4)>>1]++
+		s := TableStats{Name: tageBankName(c.histLen), Entries: len(c.e)}
+		for _, en := range c.e {
+			s.Counters[(int(en.ctr)+4)>>1]++
+			s.Occupied += int(nz(uint64(en.tag)))
 		}
-		s.Occupied = occupied(c.tag)
 		s.Entropy = counterEntropy(s.Counters)
 		out = append(out, s)
 	}
@@ -222,7 +229,7 @@ func (t *TAGE) IntrospectTagged() []TaggedBankStats {
 		c := &t.comps[i]
 		b := TaggedBankStats{
 			Name:       tageBankName(c.histLen),
-			Entries:    len(c.ctr),
+			Entries:    len(c.e),
 			HistLen:    c.histLen,
 			TagBits:    c.tagBits,
 			Hits:       c.sHit,
@@ -233,13 +240,12 @@ func (t *TAGE) IntrospectTagged() []TaggedBankStats {
 			AllocFails: c.sAllocFail,
 		}
 		b.Ctr = make([]uint64, 8)
-		var useful [4]uint64
-		for _, v := range c.ctr {
-			b.Ctr[int(v)+4]++
+		b.Useful = make([]uint64, 4)
+		for _, en := range c.e {
+			b.Ctr[int(en.ctr)+4]++
+			b.Useful[en.u&3]++
+			b.Occupied += int(nz(uint64(en.tag)))
 		}
-		countStates(c.useful, &useful)
-		b.Useful = useful[:]
-		b.Occupied = occupied(c.tag)
 		out = append(out, b)
 	}
 	return out
@@ -263,7 +269,7 @@ func tageBankName(histLen int) string {
 // on the occupancy tags and the margin-histogram accumulation.
 func (p *Perceptron) EnableTableStats() {
 	if p.dbgTags == nil {
-		p.dbgTags = make([]uint64, len(p.weights))
+		p.dbgTags = make([]uint64, p.entries())
 	}
 	p.statsOn = true
 }
@@ -274,9 +280,9 @@ func (p *Perceptron) EnableTableStats() {
 // (half saturation as the strong/weak boundary). The weight-magnitude and
 // margin detail is in IntrospectTagged.
 func (p *Perceptron) Introspect() []TableStats {
-	s := TableStats{Name: "weights", Entries: len(p.weights)}
-	for i := range p.weights {
-		switch w0 := p.weights[i][0]; {
+	s := TableStats{Name: "weights", Entries: p.entries()}
+	for i := 0; i < len(p.weights); i += perceptronStride {
+		switch w0 := int8(p.weights[i]); {
 		case w0 <= -64:
 			s.Counters[0]++
 		case w0 < 0:
@@ -296,21 +302,19 @@ func (p *Perceptron) Introspect() []TableStats {
 func (p *Perceptron) IntrospectTagged() []TaggedBankStats {
 	b := TaggedBankStats{
 		Name:    "weights",
-		Entries: len(p.weights),
-		HistLen: p.histLen,
+		Entries: p.entries(),
+		HistLen: perceptronHistLen,
 	}
 	hist := make([]uint64, 9) // |w| ≤ 128 → Len ≤ 8
-	for i := range p.weights {
-		for _, w := range p.weights[i] {
-			if w == 127 || w == -128 {
-				b.Saturated++
-			}
-			m := int(w)
-			if m < 0 {
-				m = -m
-			}
-			hist[bits.Len(uint(m))]++
+	for _, w := range p.weights {
+		if w == 127 || w == 0x80 { // +127, -128
+			b.Saturated++
 		}
+		m := int(int8(w))
+		if m < 0 {
+			m = -m
+		}
+		hist[bits.Len(uint(m))]++
 	}
 	b.Ctr = trimHist(hist)
 	b.Margin = trimHist(p.marginHist[:])

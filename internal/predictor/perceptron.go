@@ -1,6 +1,9 @@
 package predictor
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Perceptron is the neural branch predictor of Jiménez and Lin: each branch
 // hashes to a weight vector; the prediction is the sign of the dot product
@@ -12,9 +15,11 @@ import "math/bits"
 // test whether profile-guided static filtering still helps predictors whose
 // capacity pressure is per-weight rather than per-counter.
 type Perceptron struct {
-	weights   [][]int16 // [entry][histLen+1], index 0 = bias weight
+	// weights holds every weight vector as int8s in one row of
+	// perceptronStride bytes per entry: byte 0 is the bias weight, byte k
+	// the weight of history bit k-1.
+	weights   []byte
 	mask      uint64
-	histLen   int
 	theta     int32
 	hist      ghr
 	collision bool
@@ -35,27 +40,37 @@ type Perceptron struct {
 // published configuration).
 const perceptronWeightBits = 8
 
-// NewPerceptron builds a perceptron predictor within sizeBytes. History
-// length is fixed at 31 bits (near the published sweet spot); the number of
-// weight vectors scales with the budget.
+// perceptronHistLen is the history length, fixed at 31 bits (near the
+// published sweet spot), so that a weight vector with its bias fills a
+// perceptronStride-byte row: four 8-byte words for RunBlock's dot product.
+const (
+	perceptronHistLen = 31
+	perceptronStride  = perceptronHistLen + 1
+)
+
+// NewPerceptron builds a perceptron predictor within sizeBytes; the number
+// of weight vectors scales with the budget.
 func NewPerceptron(sizeBytes int) *Perceptron {
-	const histLen = 31
-	perEntryBits := (histLen + 1) * perceptronWeightBits
+	const perEntryBits = perceptronStride * perceptronWeightBits
 	e := 2
 	for e*2*perEntryBits <= sizeBytes*8 {
 		e *= 2
 	}
 	p := &Perceptron{
-		weights: make([][]int16, e),
+		weights: make([]byte, e*perceptronStride),
 		mask:    uint64(e - 1),
-		histLen: histLen,
-		theta:   int32(193*histLen/100 + 14), // θ = 1.93·h + 14 (Jiménez & Lin)
+		theta:   int32(193*perceptronHistLen/100 + 14), // θ = 1.93·h + 14 (Jiménez & Lin)
 	}
-	for i := range p.weights {
-		p.weights[i] = make([]int16, histLen+1)
-	}
-	p.hist = newGHR(histLen)
+	p.hist = newGHR(perceptronHistLen)
 	return p
+}
+
+// entries is the number of weight vectors.
+func (p *Perceptron) entries() int { return len(p.weights) / perceptronStride }
+
+// row is entry i's weight vector.
+func (p *Perceptron) row(i uint64) []byte {
+	return p.weights[i*perceptronStride : (i+1)*perceptronStride]
 }
 
 // Name implements Predictor.
@@ -63,7 +78,7 @@ func (p *Perceptron) Name() string { return "perceptron" }
 
 // SizeBits implements Predictor.
 func (p *Perceptron) SizeBits() int {
-	return len(p.weights)*(p.histLen+1)*perceptronWeightBits + p.hist.sizeBits()
+	return len(p.weights)*perceptronWeightBits + p.hist.sizeBits()
 }
 
 // Predict implements Predictor.
@@ -74,14 +89,14 @@ func (p *Perceptron) Predict(pc uint64) bool {
 		p.collision = old != 0 && old != pc+1
 		p.dbgTags[p.lIdx] = pc + 1
 	}
-	w := p.weights[p.lIdx]
-	sum := int32(w[0])
+	w := p.row(p.lIdx)
+	sum := int32(int8(w[0]))
 	h := p.hist.bits
-	for i := 1; i <= p.histLen; i++ {
+	for i := 1; i <= perceptronHistLen; i++ {
 		if h&1 == 1 {
-			sum += int32(w[i])
+			sum += int32(int8(w[i]))
 		} else {
-			sum -= int32(w[i])
+			sum -= int32(int8(w[i]))
 		}
 		h >>= 1
 	}
@@ -119,17 +134,17 @@ func perceptronConfidence(sum, theta int32) Confidence {
 	return Confidence{Score: score, Low: m <= theta}
 }
 
-func satAdd8(w int16, up bool) int16 {
+// satAdd8 steps the int8 weight stored in w by ±1, saturating.
+func satAdd8(w byte, up bool) byte {
+	v := int8(w)
 	if up {
-		if w < 127 {
-			return w + 1
+		if v < 127 {
+			v++
 		}
-		return w
+	} else if v > -128 {
+		v--
 	}
-	if w > -128 {
-		return w - 1
-	}
-	return w
+	return byte(v)
 }
 
 // Update implements Predictor.
@@ -139,10 +154,10 @@ func (p *Perceptron) Update(_ uint64, outcome bool) {
 		mag = -mag
 	}
 	if p.lPred != outcome || mag <= p.theta {
-		w := p.weights[p.lIdx]
+		w := p.row(p.lIdx)
 		w[0] = satAdd8(w[0], outcome)
 		h := p.hist.bits
-		for i := 1; i <= p.histLen; i++ {
+		for i := 1; i <= perceptronHistLen; i++ {
 			agree := (h&1 == 1) == outcome
 			w[i] = satAdd8(w[i], agree)
 			h >>= 1
@@ -156,13 +171,9 @@ func (p *Perceptron) ShiftHistory(outcome bool) { p.hist.shift(outcome) }
 
 // Reset implements Predictor.
 func (p *Perceptron) Reset() {
-	for i := range p.weights {
-		for j := range p.weights[i] {
-			p.weights[i][j] = 0
-		}
-	}
+	clear(p.weights)
 	if p.dbgTags != nil {
-		p.dbgTags = make([]uint64, len(p.weights))
+		p.dbgTags = make([]uint64, p.entries())
 	}
 	p.hist.reset()
 	p.collision = false
@@ -172,25 +183,78 @@ func (p *Perceptron) Reset() {
 // EnableCollisionTracking implements Collider.
 func (p *Perceptron) EnableCollisionTracking() {
 	if p.dbgTags == nil {
-		p.dbgTags = make([]uint64, len(p.weights))
+		p.dbgTags = make([]uint64, p.entries())
 	}
 }
 
 // LastCollision implements Collider.
 func (p *Perceptron) LastCollision() bool { return p.collision }
 
+// spread8[b] expands the eight bits of b into eight byte masks: byte j is
+// 0xff when bit j of b is set.
+var spread8 = func() (t [256]uint64) {
+	for b := range t {
+		for j := range 8 {
+			if b>>j&1 == 1 {
+				t[b] |= 0xff << (8 * j)
+			}
+		}
+	}
+	return t
+}()
+
+// perceptronDot is the dot product of row r with history h (±1 per bit)
+// plus the bias, eight weights at a time. XOR with 0x80 in every byte turns
+// each weight w into the unsigned w+128, so a 64-bit word's bytes can be
+// summed in 16-bit lanes without sign handling; spread8 of a history byte
+// keeps the bytes whose bit is 1. Over the selected bytes and over all 32,
+//
+//	sum = w0 + 2·(Σsel − 128·popcount(h)) − (Σall − (w0+128) − 128·31)
+//	    = 2·(w0 + Σsel) − Σall − 256·popcount(h) + 4096
+//
+// where the history mask is h<<1 (bit k selects row byte k, so the bias
+// byte is never selected) and a lane holds at most 8·255: no carries.
+func perceptronDot(r *[perceptronStride]byte, h uint64) int32 {
+	const bias, lo = 0x8080808080808080, 0x00ff00ff00ff00ff
+	m := h << 1
+	u0 := binary.LittleEndian.Uint64(r[0:8]) ^ bias
+	u1 := binary.LittleEndian.Uint64(r[8:16]) ^ bias
+	u2 := binary.LittleEndian.Uint64(r[16:24]) ^ bias
+	u3 := binary.LittleEndian.Uint64(r[24:32]) ^ bias
+	s0 := u0 & spread8[byte(m)]
+	s1 := u1 & spread8[byte(m>>8)]
+	s2 := u2 & spread8[byte(m>>16)]
+	s3 := u3 & spread8[byte(m>>24)]
+	all := u0&lo + u0>>8&lo + u1&lo + u1>>8&lo + u2&lo + u2>>8&lo + u3&lo + u3>>8&lo
+	sel := s0&lo + s0>>8&lo + s1&lo + s1>>8&lo + s2&lo + s2>>8&lo + s3&lo + s3>>8&lo
+	// Horizontal add of the four 16-bit lanes into the top lane.
+	const lanes = 0x0001000100010001
+	sumAll, sumSel := int32(all*lanes>>48), int32(sel*lanes>>48)
+	return 2*(int32(int8(r[0]))+sumSel) - sumAll - 256*int32(bits.OnesCount64(h)) + 4096
+}
+
+// perceptronTrain steps every weight of r by a clamped ±1 toward agreement
+// of its bit of h<<1|1 with outcome o: the bias toward o, weight k toward
+// history bit k-1 == o.
+func perceptronTrain(r *[perceptronStride]byte, h, o uint64) {
+	h = h<<1 | 1
+	for k := range r {
+		agree := (h ^ o ^ 1) & 1
+		r[k] = byte(min(max(int16(int8(r[k]))+int16(2*agree)-1, -128), 127))
+		h >>= 1
+	}
+}
+
 // RunBlock implements BatchSim: Predict and Update fused per event, the
-// history register in a local. The dot product and the training step are
-// branch-free over the history bits: a weight enters the sum negated when
-// its bit is 0, and trains toward agreement with the outcome by a clamped
-// ±1. When out.Conf is armed every prediction is graded as LastConfidence
-// would; with EnableTableStats the margin histogram accumulates as in the
-// scalar path.
+// history register in a local, the dot product by perceptronDot and the
+// training step by perceptronTrain. When out.Conf is armed every
+// prediction is graded as LastConfidence would; with EnableTableStats the
+// margin histogram accumulates as in the scalar path.
 func (p *Perceptron) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
 	if len(pcs) == 0 {
 		return
 	}
-	weights, mask, hl, theta := p.weights, p.mask, p.histLen, p.theta
+	weights, mask, theta := p.weights, p.mask, p.theta
 	h, hm := p.hist.bits, histMask(p.hist.len)
 	dbg := p.dbgTags
 	statsOn := p.statsOn
@@ -211,28 +275,8 @@ func (p *Perceptron) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
 			col = nz(old) & nz(old^(pc+1))
 			dbg[idx] = pc + 1
 		}
-		w := weights[idx][:hl+1]
-		// Four partial sums, four weights a step: the adds overlap
-		// instead of chaining through one accumulator.
-		var s0, s1, s2, s3 int32
-		hh := h
-		k := 1
-		for ; k+4 <= len(w); k += 4 {
-			q := w[k : k+4 : k+4]
-			n0, n1 := int32(hh&1)-1, int32(hh>>1&1)-1 // 0 for a 1 bit, -1 for a 0 bit
-			n2, n3 := int32(hh>>2&1)-1, int32(hh>>3&1)-1
-			s0 += int32(q[0]) ^ n0 - n0
-			s1 += int32(q[1]) ^ n1 - n1
-			s2 += int32(q[2]) ^ n2 - n2
-			s3 += int32(q[3]) ^ n3 - n3
-			hh >>= 4
-		}
-		for ; k < len(w); k++ {
-			neg := int32(hh&1) - 1
-			s0 += int32(w[k]) ^ neg - neg
-			hh >>= 1
-		}
-		sum = int32(w[0]) + s0 + s1 + s2 + s3
+		r := (*[perceptronStride]byte)(weights[idx*perceptronStride:])
+		sum = perceptronDot(r, h)
 		mag := sum
 		if mag < 0 {
 			mag = -mag
@@ -256,13 +300,7 @@ func (p *Perceptron) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
 			a.collided[i] = col != 0
 		}
 		if bad != 0 || mag <= theta {
-			w[0] = min(max(w[0]+int16(2*o)-1, -128), 127)
-			hh := h
-			for k := 1; k < len(w); k++ {
-				agree := (hh ^ o ^ 1) & 1
-				w[k] = min(max(w[k]+int16(2*agree)-1, -128), 127)
-				hh >>= 1
-			}
+			perceptronTrain(r, h, o)
 		}
 		h = (h<<1 | o) & hm
 	}

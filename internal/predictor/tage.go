@@ -50,10 +50,16 @@ type TAGE struct {
 	fHist uint64
 }
 
+// tageEntry is one tagged-component entry, packed in four bytes so a
+// lookup fetches tag, counter and useful bits with one load.
+type tageEntry struct {
+	tag uint16
+	ctr int8  // 3-bit signed counter, -4..3; >= 0 predicts taken
+	u   uint8 // 2-bit useful counter
+}
+
 type tageComp struct {
-	ctr     []int8 // 3-bit signed counters, -4..3; >= 0 predicts taken
-	tag     []uint16
-	useful  []uint8 // 2-bit useful counters
+	e       []tageEntry
 	mask    uint64
 	histLen int
 	tagBits int
@@ -102,9 +108,7 @@ func NewTAGE(sizeBytes int) *TAGE {
 			e *= 2
 		}
 		t.comps = append(t.comps, tageComp{
-			ctr:     make([]int8, e),
-			tag:     make([]uint16, e),
-			useful:  make([]uint8, e),
+			e:       make([]tageEntry, e),
 			mask:    uint64(e - 1),
 			histLen: hl,
 			tagBits: tagBits,
@@ -123,7 +127,7 @@ func (t *TAGE) Name() string { return "tage" }
 func (t *TAGE) SizeBits() int {
 	bits := t.base.sizeBits() + t.hist.sizeBits()
 	for _, c := range t.comps {
-		bits += len(c.ctr) * (3 + 2 + c.tagBits)
+		bits += len(c.e) * (3 + 2 + c.tagBits)
 	}
 	return bits
 }
@@ -147,7 +151,7 @@ func foldHistory(hist uint64, hl, width int) uint64 {
 }
 
 func (c *tageComp) index(pc, hist uint64) uint64 {
-	w := log2(len(c.ctr))
+	w := log2(len(c.e))
 	a := pcIndex(pc)
 	return (a ^ (a >> w) ^ foldHistory(hist, c.histLen, w)) & c.mask
 }
@@ -172,7 +176,7 @@ func (t *TAGE) Predict(pc uint64) bool {
 	for i := range t.comps {
 		c := &t.comps[i]
 		t.lIdx[i] = c.index(pc, t.hist.bits)
-		t.lTagMatch[i] = c.tag[t.lIdx[i]] == c.tagOf(pc, t.hist.bits)
+		t.lTagMatch[i] = c.e[t.lIdx[i]].tag == c.tagOf(pc, t.hist.bits)
 		if c.dbgTags != nil {
 			old := c.dbgTags[t.lIdx[i]]
 			if old != 0 && old != pc+1 {
@@ -189,7 +193,7 @@ func (t *TAGE) Predict(pc uint64) bool {
 		}
 		if t.lTagMatch[i] {
 			if t.lProvider >= 0 {
-				alt = t.comps[t.lProvider].ctr[t.lIdx[t.lProvider]] >= 0
+				alt = t.comps[t.lProvider].e[t.lIdx[t.lProvider]].ctr >= 0
 				altSet = true
 			}
 			t.lProvider = i
@@ -197,14 +201,15 @@ func (t *TAGE) Predict(pc uint64) bool {
 	}
 	if t.lProvider >= 0 {
 		prov := &t.comps[t.lProvider]
-		ctr := prov.ctr[t.lIdx[t.lProvider]]
+		en := prov.e[t.lIdx[t.lProvider]]
+		ctr := en.ctr
 		t.lProvPred = ctr >= 0
 		if !altSet {
 			alt = basePred
 		}
 		// use-alt-on-newly-allocated: weak counter + not useful
 		weak := ctr == 0 || ctr == -1
-		t.lNewAlloc = weak && prov.useful[t.lIdx[t.lProvider]] == 0
+		t.lNewAlloc = weak && en.u == 0
 		if t.lNewAlloc {
 			pred = alt
 		} else {
@@ -238,9 +243,8 @@ func (t *TAGE) confidence(baseCtr uint8) Confidence {
 	if t.lProvider < 0 {
 		return tageConfidence(baseCtr, false, false, 0, 0)
 	}
-	prov := &t.comps[t.lProvider]
-	idx := t.lIdx[t.lProvider]
-	return tageConfidence(baseCtr, true, t.lNewAlloc, prov.ctr[idx], prov.useful[idx])
+	en := t.comps[t.lProvider].e[t.lIdx[t.lProvider]]
+	return tageConfidence(baseCtr, true, t.lNewAlloc, en.ctr, en.u)
 }
 
 // tageConfidence is the confidence model over the lookup state: the base
@@ -290,19 +294,18 @@ func (t *TAGE) Update(pc uint64, outcome bool) {
 	correct := t.lPred == outcome
 
 	if t.lProvider >= 0 {
-		prov := &t.comps[t.lProvider]
-		idx := t.lIdx[t.lProvider]
+		en := &t.comps[t.lProvider].e[t.lIdx[t.lProvider]]
 		// useful bit: provider beat the alternate
 		if t.lProvPred != t.lAltPred {
 			if t.lProvPred == outcome {
-				if prov.useful[idx] < 3 {
-					prov.useful[idx]++
+				if en.u < 3 {
+					en.u++
 				}
-			} else if prov.useful[idx] > 0 {
-				prov.useful[idx]--
+			} else if en.u > 0 {
+				en.u--
 			}
 		}
-		prov.ctr[idx] = ctr3Update(prov.ctr[idx], outcome)
+		en.ctr = ctr3Update(en.ctr, outcome)
 		// train the base too when the provider entry is freshly allocated
 		if t.lNewAlloc {
 			t.base.update(t.lBaseIdx, outcome)
@@ -317,13 +320,13 @@ func (t *TAGE) Update(pc uint64, outcome bool) {
 		allocated := false
 		for i := start; i < len(t.comps); i++ {
 			c := &t.comps[i]
-			idx := c.index(pc, t.hist.bits)
-			if c.useful[idx] == 0 {
-				c.tag[idx] = c.tagOf(pc, t.hist.bits)
+			en := &c.e[c.index(pc, t.hist.bits)]
+			if en.u == 0 {
+				en.tag = c.tagOf(pc, t.hist.bits)
 				if outcome {
-					c.ctr[idx] = 0
+					en.ctr = 0
 				} else {
-					c.ctr[idx] = -1
+					en.ctr = -1
 				}
 				if t.statsOn {
 					c.sAlloc++
@@ -340,9 +343,8 @@ func (t *TAGE) Update(pc uint64, outcome bool) {
 			// succeed (the classic anti-ping-pong mechanism)
 			for i := start; i < len(t.comps); i++ {
 				c := &t.comps[i]
-				idx := c.index(pc, t.hist.bits)
-				if c.useful[idx] > 0 {
-					c.useful[idx]--
+				if en := &c.e[c.index(pc, t.hist.bits)]; en.u > 0 {
+					en.u--
 				}
 			}
 		}
@@ -351,9 +353,7 @@ func (t *TAGE) Update(pc uint64, outcome bool) {
 		if t.tick >= 1<<18 {
 			t.tick = 0
 			for i := range t.comps {
-				for j := range t.comps[i].useful {
-					t.comps[i].useful[j] >>= 1
-				}
+				ageUseful(t.comps[i].e)
 			}
 		}
 	}
@@ -369,13 +369,9 @@ func (t *TAGE) Reset() {
 	t.base.reset()
 	for i := range t.comps {
 		c := &t.comps[i]
-		for j := range c.ctr {
-			c.ctr[j] = 0
-			c.tag[j] = 0
-			c.useful[j] = 0
-		}
+		clear(c.e)
 		if c.dbgTags != nil {
-			c.dbgTags = make([]uint64, len(c.ctr))
+			c.dbgTags = make([]uint64, len(c.e))
 		}
 		c.sHit, c.sMiss = 0, 0
 		c.sProv, c.sAlt = 0, 0
@@ -393,13 +389,21 @@ func (t *TAGE) EnableCollisionTracking() {
 	t.base.enableTags()
 	for i := range t.comps {
 		if t.comps[i].dbgTags == nil {
-			t.comps[i].dbgTags = make([]uint64, len(t.comps[i].ctr))
+			t.comps[i].dbgTags = make([]uint64, len(t.comps[i].e))
 		}
 	}
 }
 
 // LastCollision implements Collider.
 func (t *TAGE) LastCollision() bool { return t.collision }
+
+// ageUseful halves every useful counter of a component (periodic global
+// aging).
+func ageUseful(e []tageEntry) {
+	for k := range e {
+		e[k].u >>= 1
+	}
+}
 
 // foldStep advances a width-w fold of the last hl history bits across one
 // history shift (Seznec's circular-shift folding): rotate left by one within
@@ -415,7 +419,7 @@ func (t *TAGE) refold() {
 	h := t.hist.bits
 	for i := range t.comps {
 		c := &t.comps[i]
-		c.fIdx = foldHistory(h, c.histLen, log2(len(c.ctr)))
+		c.fIdx = foldHistory(h, c.histLen, log2(len(c.e)))
 		c.fTag = foldHistory(h, c.histLen, c.tagBits)
 		c.fTag1 = foldHistory(h, c.histLen, c.tagBits-1)
 	}
@@ -426,10 +430,8 @@ func (t *TAGE) refold() {
 // index/tag geometry hoisted out of the struct, and the three folds the
 // kernel advances per event with foldStep.
 type tageLane struct {
-	ctr    []int8
-	tag    []uint16
-	useful []uint8
-	dbg    []uint64
+	e   []tageEntry
+	dbg []uint64
 
 	w, leave             uint // index width; histLen-1, the window's top bit
 	wTag, wTag1          uint
@@ -441,11 +443,11 @@ type tageLane struct {
 }
 
 func (c *tageComp) lane() tageLane {
-	w := uint(log2(len(c.ctr)))
+	w := uint(log2(len(c.e)))
 	tb := uint(c.tagBits)
 	hl := uint(c.histLen)
 	return tageLane{
-		ctr: c.ctr, tag: c.tag[:len(c.ctr)], useful: c.useful[:len(c.ctr)], dbg: c.dbgTags,
+		e: c.e, dbg: c.dbgTags,
 		w: w, leave: hl - 1, wTag: tb, wTag1: tb - 1,
 		pIdx: hl % w, pTag: hl % tb, pTag1: hl % (tb - 1),
 		mIdx: histMask(int(w)), mTag: histMask(int(tb)), mTag1: histMask(int(tb - 1)),
@@ -516,9 +518,11 @@ func (t *TAGE) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
 		// longest match (else the base) is the alternate.
 		prov := -1
 		alt := basePred
+		var pctr int8 // the provider entry's counter and useful bits
+		var pu uint8
 		for j := range ln {
 			l := &ln[j]
-			ix := int((pa^pa>>l.w^l.fIdx)&l.mIdx) & (len(l.ctr) - 1)
+			ix := int((pa^pa>>l.w^l.fIdx)&l.mIdx) & (len(l.e) - 1)
 			tag := uint16((pa ^ pa>>5 ^ l.fTag ^ l.fTag1<<1) & l.mTag)
 			idx[j], tg[j] = ix, tag
 			if l.dbg != nil {
@@ -526,22 +530,19 @@ func (t *TAGE) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
 				col |= nz(old) & nz(old^(pc+1))
 				l.dbg[ix] = pc + 1
 			}
-			if l.tag[ix] == tag {
+			if en := l.e[ix]; en.tag == tag {
 				l.hit++
 				if prov >= 0 {
-					alt = ln[prov].ctr[idx[prov]] >= 0
+					alt = pctr >= 0
 				}
-				prov = j
+				prov, pctr, pu = j, en.ctr, en.u
 			} else {
 				l.miss++
 			}
 		}
 		pred, provPred, newAlloc := basePred, basePred, false
-		var pctr int8
-		var pu uint8
 		if prov >= 0 {
 			l := &ln[prov]
-			pctr, pu = l.ctr[idx[prov]], l.useful[idx[prov]]
 			provPred = pctr >= 0
 			newAlloc = (pctr == 0 || pctr == -1) && pu == 0
 			pred = provPred
@@ -565,18 +566,17 @@ func (t *TAGE) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
 		// Update: train the provider (and its useful bits when it
 		// disagreed with the alternate), else the base.
 		if prov >= 0 {
-			l := &ln[prov]
-			ix := idx[prov]
+			en := &ln[prov].e[idx[prov]]
 			if provPred != alt {
 				if provPred == outcome {
 					if pu < 3 {
-						l.useful[ix] = pu + 1
+						en.u = pu + 1
 					}
 				} else if pu > 0 {
-					l.useful[ix] = pu - 1
+					en.u = pu - 1
 				}
 			}
-			l.ctr[ix] = ctr3Update(pctr, outcome)
+			en.ctr = ctr3Update(pctr, outcome)
 			if newAlloc {
 				bctr[bi] = ctrStep(bc, o, 1)
 			}
@@ -588,10 +588,8 @@ func (t *TAGE) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
 			allocated := false
 			for j := prov + 1; j < tageNComp; j++ {
 				l := &ln[j]
-				ix := idx[j]
-				if l.useful[ix] == 0 {
-					l.tag[ix] = tg[j]
-					l.ctr[ix] = int8(o) - 1
+				if en := &l.e[idx[j]]; en.u == 0 {
+					*en = tageEntry{tag: tg[j], ctr: int8(o) - 1}
 					l.alloc++
 					allocated = true
 					break
@@ -600,8 +598,8 @@ func (t *TAGE) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
 			}
 			if !allocated {
 				for j := prov + 1; j < tageNComp; j++ {
-					if u := ln[j].useful; u[idx[j]] > 0 {
-						u[idx[j]]--
+					if en := &ln[j].e[idx[j]]; en.u > 0 {
+						en.u--
 					}
 				}
 			}
@@ -609,10 +607,7 @@ func (t *TAGE) RunBlock(pcs []uint64, taken []bool, out *BlockMetrics) {
 			if tick >= 1<<18 {
 				tick = 0
 				for j := range ln {
-					u := ln[j].useful
-					for k := range u {
-						u[k] >>= 1
-					}
+					ageUseful(ln[j].e)
 				}
 			}
 		}

@@ -57,8 +57,8 @@ func TestTAGEAllocatesOnMispredict(t *testing.T) {
 	drive(tage, stream)
 	allocated := 0
 	for _, c := range tage.comps {
-		for _, tag := range c.tag {
-			if tag != 0 {
+		for _, en := range c.e {
+			if en.tag != 0 {
 				allocated++
 			}
 		}
@@ -173,11 +173,11 @@ func TestPerceptronThetaTraining(t *testing.T) {
 	p := NewPerceptron(1 << 10)
 	stream := mkEvs(10_000, func(int) ev { return ev{0x40, true} })
 	drive(p, stream)
-	w := p.weights[p.lIdx]
-	if w[0] <= 0 {
-		t.Fatalf("bias weight %d not positive after constant-taken training", w[0])
+	w := p.row(p.lIdx)
+	if int8(w[0]) <= 0 {
+		t.Fatalf("bias weight %d not positive after constant-taken training", int8(w[0]))
 	}
-	if w[0] == 127 {
+	if int8(w[0]) == 127 {
 		// θ-gated training should stop well before saturation
 		t.Fatalf("bias weight saturated; θ gating not working")
 	}

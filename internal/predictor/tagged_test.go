@@ -71,14 +71,14 @@ func TestIntrospectTaggedPerceptron(t *testing.T) {
 		t.Fatalf("got %d banks, want 1", len(banks))
 	}
 	b := banks[0]
-	if b.Name != "weights" || b.HistLen != p.histLen {
-		t.Errorf("bank = %+v, want weights/%d", b, p.histLen)
+	if b.Name != "weights" || b.HistLen != perceptronHistLen {
+		t.Errorf("bank = %+v, want weights/%d", b, perceptronHistLen)
 	}
 	var wSum uint64
 	for _, c := range b.Ctr {
 		wSum += c
 	}
-	if want := uint64(b.Entries * (p.histLen + 1)); wSum != want {
+	if want := uint64(b.Entries * (perceptronHistLen + 1)); wSum != want {
 		t.Errorf("weight histogram sums to %d, want %d weights", wSum, want)
 	}
 	var margins uint64

@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // liProg is a SPEC "li" (xlisp) analogue: a small Lisp interpreter with a
 // reader, an environment-based evaluator and a mark-sweep garbage collector
@@ -115,10 +118,14 @@ type liVM struct {
 
 	cells    []liCell
 	freeList []int
-	globals  map[string]int
-	roots    []int // GC roots (globals added separately)
-	allocs   int
-	gcRuns   int
+	// globals maps a global's name to its slot in globalVals, which holds
+	// each global's cell in definition order: the GC seeds its mark stack
+	// from the slice, so marking does not follow map order.
+	globals    map[string]int
+	globalVals []int
+	roots      []int // GC roots (globals added separately)
+	allocs     int
+	gcRuns     int
 	// gcEnabled is false while the reader builds partially-linked lists;
 	// the heap is sized to hold the whole program without collecting.
 	gcEnabled bool
@@ -165,14 +172,30 @@ func (vm *liVM) cons(car, cdr int) int {
 	return idx
 }
 
+// global returns the named global's cell.
+func (vm *liVM) global(name string) (idx int, ok bool) {
+	slot, ok := vm.globals[name]
+	if !ok {
+		return 0, false
+	}
+	return vm.globalVals[slot], true
+}
+
+// setGlobal binds name to cell idx, in a new slot on first definition.
+func (vm *liVM) setGlobal(name string, idx int) {
+	slot, ok := vm.globals[name]
+	if !ok {
+		slot = len(vm.globalVals)
+		vm.globals[name] = slot
+		vm.globalVals = append(vm.globalVals, 0)
+	}
+	vm.globalVals[slot] = idx
+}
+
 // gc is a mark-sweep collection over globals + the explicit root stack.
 func (vm *liVM) gc() {
 	vm.gcRuns++
-	var stack []int
-	for _, idx := range vm.globals {
-		stack = append(stack, idx)
-	}
-	stack = append(stack, vm.roots...)
+	stack := append(slices.Clone(vm.globalVals), vm.roots...)
 	for vm.s.gcMarkLoop.Taken(len(stack) > 0) {
 		idx := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

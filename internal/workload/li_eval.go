@@ -45,7 +45,7 @@ func (vm *liVM) envLookup(name string, env int) int {
 			return vm.cells[pair].cdr
 		}
 	}
-	if idx, ok := vm.globals[name]; s.envGlobal.Taken(ok) {
+	if idx, ok := vm.global(name); s.envGlobal.Taken(ok) {
 		return idx
 	}
 	vm.fail("li: unbound symbol %q", name)
@@ -98,7 +98,7 @@ func (vm *liVM) eval(expr, env int) int {
 			_, redef := vm.globals[vm.cells[nameCell].sym]
 			s.formDefine.Taken(redef) // redefinition bookkeeping
 			val := vm.eval(vm.cells[vm.cells[args].cdr].car, env)
-			vm.globals[vm.cells[nameCell].sym] = val
+			vm.setGlobal(vm.cells[nameCell].sym, val)
 			return val
 		default: // lambda
 			params := vm.cells[args].car
@@ -250,15 +250,20 @@ func (vm *liVM) applyBuiltin(id, argList, n int) int {
 	}
 }
 
+// defineBuiltins allocates the builtins in a fixed order, so their cells,
+// and with them the branch stream, are the same on every run.
 func (vm *liVM) defineBuiltins() {
-	for name, id := range map[string]int{
-		"+": biAdd, "-": biSub, "*": biMul, "quotient": biQuotient,
-		"<": biLess, "=": biEq, "cons": biCons, "car": biCar,
-		"cdr": biCdr, "null?": biNullP, "not": biNot,
+	for _, b := range []struct {
+		name string
+		id   int
+	}{
+		{"+", biAdd}, {"-", biSub}, {"*", biMul}, {"quotient", biQuotient},
+		{"<", biLess}, {"=", biEq}, {"cons", biCons}, {"car", biCar},
+		{"cdr", biCdr}, {"null?", biNullP}, {"not", biNot},
 	} {
 		idx := vm.alloc(liBuiltin)
-		vm.cells[idx].num = int64(id)
-		vm.globals[name] = idx
+		vm.cells[idx].num = int64(b.id)
+		vm.setGlobal(b.name, idx)
 	}
 }
 
@@ -324,14 +329,14 @@ func (liProg) Run(ctx context.Context, input string, rec trace.Recorder) (err er
 	}
 
 	// Verify: the interpreter's fib and list pipeline against host math.
-	fibres := vm.globals["fibres"]
+	fibres, _ := vm.global("fibres")
 	if fibres == 0 || vm.cells[fibres].num != hostFib(in.fibN) {
 		return fmt.Errorf("li: fib(%d) wrong: cell %d", in.fibN, fibres)
 	}
 	// sum of squares 1..n = n(n+1)(2n+1)/6
 	nn := int64(in.listN)
 	want := nn * (nn + 1) * (2*nn + 1) / 6
-	total := vm.globals["total"]
+	total, _ := vm.global("total")
 	if total == 0 || vm.cells[total].num != want {
 		return fmt.Errorf("li: sum of squares wrong: got cell %d, want %d", total, want)
 	}

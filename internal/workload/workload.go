@@ -19,7 +19,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 
 	"branchsim/internal/trace"
 )
@@ -49,7 +49,10 @@ type Program interface {
 // Inputs lists the standard input names.
 func Inputs() []string { return []string{InputTest, InputTrain, InputRef} }
 
-var registry = map[string]Program{}
+var (
+	registry = map[string]Program{}
+	names    []string // registry's keys, sorted
+)
 
 // Register adds a program to the global registry. It panics on duplicate
 // names; programs register from init functions.
@@ -58,6 +61,8 @@ func Register(p Program) {
 		panic(fmt.Sprintf("workload: duplicate program %q", p.Name()))
 	}
 	registry[p.Name()] = p
+	i, _ := slices.BinarySearch(names, p.Name())
+	names = slices.Insert(names, i, p.Name())
 }
 
 // Get returns the named program.
@@ -124,12 +129,7 @@ func RunProgram(ctx context.Context, p Program, input string, rec trace.Recorder
 
 // Names returns the registered program names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(names)
 }
 
 // Suite returns the six paper-analogue programs in the paper's Table 1

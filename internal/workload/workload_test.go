@@ -63,16 +63,22 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 }
 
 func TestProgramsDeterministic(t *testing.T) {
-	for _, p := range Suite() {
-		a, b := &streamHash{}, &streamHash{}
-		if err := p.Run(context.Background(), InputTest, a); err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
+	for _, name := range Names() {
+		p, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := p.Run(context.Background(), InputTest, b); err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
-		}
-		if a.h != b.h || a.n != b.n {
-			t.Errorf("%s: stream not deterministic (%d vs %d events)", p.Name(), a.n, b.n)
+		for _, input := range []string{InputTest, InputTrain} {
+			a, b := &streamHash{}, &streamHash{}
+			if err := p.Run(context.Background(), input, a); err != nil {
+				t.Fatalf("%s/%s: %v", name, input, err)
+			}
+			if err := p.Run(context.Background(), input, b); err != nil {
+				t.Fatalf("%s/%s: %v", name, input, err)
+			}
+			if a.h != b.h || a.n != b.n {
+				t.Errorf("%s/%s: stream not deterministic (%#x over %d events vs %#x over %d)", name, input, a.h, a.n, b.h, b.n)
+			}
 		}
 	}
 }
